@@ -57,10 +57,9 @@ struct CsqTrainResult {
 // Trains a model whose quantizable layers were built with
 // csq_weight_factory(&sources). The model must contain at least one source.
 // When config.data_parallel.workers > 1, `replica_factory` must rebuild the
-// model identically (same builder and seed; see opt/data_parallel.h) — the
-// trainer mirrors the temperature schedule and mask freezing to every
-// replica's CSQ sources so scheme state stays in lockstep with the
-// broadcast parameters.
+// model with the same parameter layout (same builder; see
+// opt/data_parallel.h). Only `sources` carry the temperature schedule and
+// mask freezing: replicas never materialize their own sources.
 CsqTrainResult train_csq(
     Model& model, const std::vector<CsqWeightSource*>& sources,
     const InMemoryDataset& train_data, const InMemoryDataset& test_data,

@@ -51,7 +51,9 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::int64_t col_cols = geom.col_cols();
   const std::int64_t out_c = config_.out_channels;
 
-  const Tensor& weights = weight_source_->weight(training);
+  const float* w_data = capture_weight_ != nullptr
+                            ? capture_weight_
+                            : weight_source_->weight(training).data();
 
   // Fully overwritten below (im2col + beta=0 GEMM + bias add).
   Tensor output =
@@ -82,7 +84,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   ctx.in_data = input.data();
   ctx.out_data = output.data();
   ctx.col_data = col_data;
-  ctx.w_data = weights.data();
+  ctx.w_data = w_data;
   ctx.bias = has_bias_ ? bias_.value.data() : nullptr;
   ctx.in_stride = geom.channels * geom.height * geom.width;
   ctx.out_stride = out_c * col_cols;
@@ -139,7 +141,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       << "conv2d " << name() << ": grad_output shape "
       << grad_output.shape_string() << " mismatch";
 
-  const Tensor& weights = weight_source_->weight(/*training=*/true);
+  const Tensor* weights = capture_weight_ != nullptr
+                             ? nullptr
+                             : &weight_source_->weight(/*training=*/true);
   const Tensor& cols = ws_.peek(kColsSlot);
 
   // ---- input gradient: batch-parallel col2im(W^T * dOut_b) -------------
@@ -156,7 +160,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     std::int64_t out_c, col_rows, col_cols;
   } ictx;
   ictx.geom = geom;
-  ictx.w_data = weights.data();
+  ictx.w_data = weights != nullptr ? weights->data() : capture_weight_;
   ictx.go_data = grad_output.data();
   ictx.gi_data = grad_input.data();
   ictx.grad_col_base =
@@ -178,7 +182,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   });
 
   // ---- weight + bias gradients: OC-parallel over disjoint row blocks ----
-  Tensor& grad_weight = ws_.tensor(kGradWeightSlot, weights.shape());
+  // dW lands in the workspace staging tensor, or straight in the capture
+  // span (every row block's b == 0 GEMM overwrites, so neither is cleared).
+  Tensor* grad_weight = capture_grad_ != nullptr
+                            ? nullptr
+                            : &ws_.tensor(kGradWeightSlot, weights->shape());
 
   struct WeightGradContext {
     const float* go_data;
@@ -190,7 +198,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   } wctx;
   wctx.go_data = grad_output.data();
   wctx.col_data = cols.data();
-  wctx.gw_data = grad_weight.data();
+  wctx.gw_data =
+      grad_weight != nullptr ? grad_weight->data() : capture_grad_;
   wctx.gb_data = has_bias_ ? bias_.grad.data() : nullptr;
   wctx.batch = batch;
   wctx.out_stride = out_c * col_cols;
@@ -224,10 +233,18 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   });
-  weight_source_->backward(grad_weight);
+  if (grad_weight != nullptr) weight_source_->backward(*grad_weight);
 
   cached_batch_ = 0;
   return grad_input;
+}
+
+void Conv2d::set_weight_capture(const float* weight,
+                                float* grad_weight_out) {
+  CSQ_CHECK((weight == nullptr) == (grad_weight_out == nullptr))
+      << "conv2d " << name() << ": weight capture needs both spans or none";
+  capture_weight_ = weight;
+  capture_grad_ = grad_weight_out;
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {

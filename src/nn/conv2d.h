@@ -10,6 +10,10 @@
 // grad_col stripes and the dW staging tensor — lives in a per-layer
 // Workspace with grow-once semantics, so steady-state training steps
 // perform zero heap allocations.
+//
+// Weight capture (set_weight_capture) lets the data-parallel trainer run
+// the layer on a weight it materialized once for the whole step, and
+// collect dL/dW per micro-batch shard without touching the source.
 #pragma once
 
 #include "nn/module.h"
@@ -47,6 +51,15 @@ class Conv2d final : public Module {
   }
   Workspace& workspace() { return ws_; }
 
+  // Weight-capture mode for weight-space data-parallel training
+  // (opt/data_parallel.h): while set, forward and backward read the weight
+  // from `weight` (weight_count() floats in the source's layout) instead of
+  // materializing the source, and backward OVERWRITES `grad_weight_out`
+  // with dL/dW instead of calling the source's backward. The caller owns
+  // both spans and runs the source's backward itself. Cleared with null
+  // pointers; like BatchNorm2d::set_stat_capture.
+  void set_weight_capture(const float* weight, float* grad_weight_out);
+
  private:
   // Workspace slot indices.
   enum TensorSlot : int { kColsSlot = 0, kGradWeightSlot = 1 };
@@ -64,6 +77,10 @@ class Conv2d final : public Module {
   Workspace ws_;
   ConvGeometry cached_geom_;  // geometry of the cached batch
   std::int64_t cached_batch_ = 0;
+
+  // Weight-capture spans (null -> the source materializes and backpropagates).
+  const float* capture_weight_ = nullptr;
+  float* capture_grad_ = nullptr;
 };
 
 }  // namespace csq

@@ -26,14 +26,16 @@ Tensor Linear::forward(const Tensor& input, bool training) {
       << "linear " << name() << ": expected (B," << in_features_ << "), got "
       << input.shape_string();
   const std::int64_t batch = input.dim(0);
-  const Tensor& weights = weight_source_->weight(training);
+  const float* w_data = capture_weight_ != nullptr
+                            ? capture_weight_
+                            : weight_source_->weight(training).data();
 
   // Fully overwritten by the beta=0 GEMM.
   Tensor output = Tensor::uninitialized({batch, out_features_});
   // Y(B, OUT) = X(B, IN) * W^T, W stored (OUT, IN).
   gemm_parallel(Trans::no, Trans::yes, batch, out_features_, in_features_,
-                1.0f, input.data(), in_features_, weights.data(), in_features_,
-                0.0f, output.data(), out_features_, &ws_.gemm_scratch());
+                1.0f, input.data(), in_features_, w_data, in_features_, 0.0f,
+                output.data(), out_features_, &ws_.gemm_scratch());
   if (has_bias_) {
     float* out = output.data();
     const float* bias = bias_.value.data();
@@ -60,22 +62,29 @@ Tensor Linear::backward(const Tensor& grad_output) {
             grad_output.dim(1) == out_features_)
       << "linear " << name() << ": grad_output shape mismatch";
 
-  const Tensor& weights = weight_source_->weight(/*training=*/true);
+  const Tensor* weights = capture_weight_ != nullptr
+                             ? nullptr
+                             : &weight_source_->weight(/*training=*/true);
 
   // dX(B, IN) = dY(B, OUT) * W(OUT, IN)
   Tensor grad_input = Tensor::uninitialized({batch, in_features_});
   gemm_parallel(Trans::no, Trans::no, batch, in_features_, out_features_, 1.0f,
-                grad_output.data(), out_features_, weights.data(),
+                grad_output.data(), out_features_,
+                weights != nullptr ? weights->data() : capture_weight_,
                 in_features_, 0.0f, grad_input.data(), in_features_,
                 &ws_.gemm_scratch());
 
-  // dW(OUT, IN) = dY^T(OUT, B) * X(B, IN)
-  Tensor& grad_weight = ws_.tensor(kGradWeightSlot, weights.shape());
+  // dW(OUT, IN) = dY^T(OUT, B) * X(B, IN), into the staging tensor or
+  // straight into the capture span (beta = 0 overwrites either).
+  Tensor* grad_weight = capture_grad_ != nullptr
+                            ? nullptr
+                            : &ws_.tensor(kGradWeightSlot, weights->shape());
   gemm_parallel(Trans::yes, Trans::no, out_features_, in_features_, batch,
                 1.0f, grad_output.data(), out_features_, cached_input_.data(),
-                in_features_, 0.0f, grad_weight.data(), in_features_,
-                &ws_.gemm_scratch());
-  weight_source_->backward(grad_weight);
+                in_features_, 0.0f,
+                grad_weight != nullptr ? grad_weight->data() : capture_grad_,
+                in_features_, &ws_.gemm_scratch());
+  if (grad_weight != nullptr) weight_source_->backward(*grad_weight);
 
   if (has_bias_) {
     float* gb = bias_.grad.data();
@@ -89,6 +98,14 @@ Tensor Linear::backward(const Tensor& grad_output) {
 
   has_cached_input_ = false;
   return grad_input;
+}
+
+void Linear::set_weight_capture(const float* weight,
+                                float* grad_weight_out) {
+  CSQ_CHECK((weight == nullptr) == (grad_weight_out == nullptr))
+      << "linear " << name() << ": weight capture needs both spans or none";
+  capture_weight_ = weight;
+  capture_grad_ = grad_weight_out;
 }
 
 void Linear::collect_parameters(std::vector<Parameter*>& out) {

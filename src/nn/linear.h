@@ -3,7 +3,7 @@
 // GEMMs run through the pooled blocked kernel with packed-panel scratch from
 // the layer's Workspace; the dW staging tensor and the cached forward input
 // are recycled across steps, so steady-state forward+backward performs zero
-// heap allocations.
+// heap allocations. Weight capture works as in Conv2d (nn/conv2d.h).
 #pragma once
 
 #include "nn/module.h"
@@ -33,6 +33,10 @@ class Linear final : public Module {
   }
   Workspace& workspace() { return ws_; }
 
+  // Weight-capture mode for weight-space data-parallel training; same
+  // contract as Conv2d::set_weight_capture.
+  void set_weight_capture(const float* weight, float* grad_weight_out);
+
  private:
   enum TensorSlot : int { kGradWeightSlot = 0 };
 
@@ -48,6 +52,10 @@ class Linear final : public Module {
   // gates backward-without-forward misuse.
   Tensor cached_input_;
   bool has_cached_input_ = false;
+
+  // Weight-capture spans (null -> the source materializes and backpropagates).
+  const float* capture_weight_ = nullptr;
+  float* capture_grad_ = nullptr;
 };
 
 }  // namespace csq

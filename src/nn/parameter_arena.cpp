@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "tensor/quant_kernels.h"
 #include "util/check.h"
 
 namespace csq {
@@ -46,7 +47,14 @@ ParameterArena::ParameterArena(const std::vector<Parameter*>& params) {
 }
 
 void ParameterArena::zero_grads() {
-  std::memset(grads_.data(), 0, grads_.size() * sizeof(float));
+  float* grads = grads_.data();
+  for_each_quant_chunk(size(), default_kernel_exec(),
+                       [grads](std::int64_t, std::int64_t begin,
+                               std::int64_t end) {
+                         std::memset(grads + begin, 0,
+                                     static_cast<std::size_t>(end - begin) *
+                                         sizeof(float));
+                       });
 }
 
 void ParameterArena::load_values(const float* src) {

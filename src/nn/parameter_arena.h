@@ -49,7 +49,8 @@ class ParameterArena {
   const float* grads() const { return grads_.data(); }
   const std::vector<View>& views() const { return views_; }
 
-  // One flat sweep; replaces the per-parameter zero_grad loop.
+  // One flat sweep over the fixed chunk grid (pooled unless the caller
+  // runs serially); replaces the per-parameter zero_grad loop.
   void zero_grads();
 
   // Overwrites this arena's values with `src` (size() floats) and bumps

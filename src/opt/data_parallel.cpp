@@ -10,6 +10,19 @@
 
 namespace csq {
 
+WeightSource& DataParallelTrainer::WeightLayer::source() const {
+  return conv != nullptr ? conv->source() : linear->source();
+}
+
+void DataParallelTrainer::WeightLayer::capture(const float* weight,
+                                               float* grad_weight) const {
+  if (conv != nullptr) {
+    conv->set_weight_capture(weight, grad_weight);
+  } else {
+    linear->set_weight_capture(weight, grad_weight);
+  }
+}
+
 DataParallelTrainer::DataParallelTrainer(Model& primary,
                                          const ModelFactory& replica_factory,
                                          const DataParallelConfig& config)
@@ -38,14 +51,18 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
     replicas_[static_cast<std::size_t>(w)].model = &replica;
   }
 
-  // Collect each replica's batchnorms in depth-first module order; the
-  // shared offsets let any worker capture into a shard's stat span and any
-  // replica replay from it.
+  // Collect each replica's batchnorms and weight layers in depth-first
+  // module order; the shared offsets let any worker capture into a shard's
+  // spans and the primary replay from them.
   for (int w = 0; w < workers_; ++w) {
     Replica& rep = replicas_[static_cast<std::size_t>(w)];
     rep.model->for_each_module([&rep](Module& module) {
       if (auto* bn = dynamic_cast<BatchNorm2d*>(&module)) {
         rep.batchnorms.push_back(bn);
+      } else if (auto* conv = dynamic_cast<Conv2d*>(&module)) {
+        rep.layers.push_back({conv, nullptr});
+      } else if (auto* linear = dynamic_cast<Linear*>(&module)) {
+        rep.layers.push_back({nullptr, linear});
       }
     });
     rep.shard_shape.assign(4, 0);
@@ -54,19 +71,64 @@ DataParallelTrainer::DataParallelTrainer(Model& primary,
         bn_offsets_.push_back(bn_channels_);
         bn_channels_ += bn->channels();
       }
-    } else {
-      CSQ_CHECK(rep.batchnorms.size() == replicas_[0].batchnorms.size())
-          << "data-parallel: replica " << w << " batchnorm count differs";
-      for (std::size_t j = 0; j < rep.batchnorms.size(); ++j) {
-        CSQ_CHECK(rep.batchnorms[j]->channels() ==
-                  replicas_[0].batchnorms[j]->channels())
-            << "data-parallel: replica " << w << " batchnorm " << j
-            << " channel count differs";
-      }
+      continue;
+    }
+    const Replica& head = replicas_[0];
+    CSQ_CHECK(rep.batchnorms.size() == head.batchnorms.size() &&
+              rep.layers.size() == head.layers.size())
+        << "data-parallel: replica " << w << " module structure differs";
+    for (std::size_t j = 0; j < rep.batchnorms.size(); ++j) {
+      CSQ_CHECK(rep.batchnorms[j]->channels() ==
+                head.batchnorms[j]->channels())
+          << "data-parallel: replica " << w << " batchnorm " << j
+          << " channel count differs";
+    }
+    for (std::size_t j = 0; j < rep.layers.size(); ++j) {
+      CSQ_CHECK(rep.layers[j].source().weight_count() ==
+                head.layers[j].source().weight_count())
+          << "data-parallel: replica " << w << " weight layer " << j
+          << " size differs";
     }
   }
 
-  broadcast_values();
+  // Shard-span layout: every layer's dW, then the arena runs of parameters
+  // no weight source owns.
+  const std::vector<WeightLayer>& layers = replicas_[0].layers;
+  std::vector<Parameter*> owned;
+  for (const WeightLayer& layer : layers) {
+    dw_offsets_.push_back(span_floats_);
+    span_floats_ += layer.source().weight_count();
+    layer.source().collect_parameters(owned);
+  }
+  for (const QuantLayer& registered : primary_->quant_layers()) {
+    CSQ_CHECK(std::any_of(layers.begin(), layers.end(),
+                          [&](const WeightLayer& layer) {
+                            return &layer.source() == registered.source;
+                          }))
+        << "data-parallel: weight source " << registered.name
+        << " is not owned by a Conv2d or Linear layer";
+  }
+  std::sort(owned.begin(), owned.end());
+  for (const ParameterArena::View& view : primary_arena.views()) {
+    if (std::binary_search(owned.begin(), owned.end(), view.param)) continue;
+    if (!loose_.empty() && loose_.back().arena_offset + loose_.back().count ==
+                               view.offset) {
+      loose_.back().count += view.count;
+    } else {
+      loose_.push_back({view.offset, view.count, span_floats_});
+    }
+    span_floats_ += view.count;
+  }
+
+  weights_.assign(layers.size(), nullptr);
+  reduced_.assign(static_cast<std::size_t>(span_floats_), 0.0f);
+  reduced_dw_.reserve(layers.size());
+  for (std::size_t j = 0; j < layers.size(); ++j) {
+    reduced_dw_.push_back(Tensor::borrow(reduced_.data() + dw_offsets_[j],
+                                         layers[j].source().weight_shape()));
+  }
+
+  broadcast_loose_values();
 
   errors_.resize(static_cast<std::size_t>(workers_));
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
@@ -84,15 +146,17 @@ DataParallelTrainer::~DataParallelTrainer() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-void DataParallelTrainer::for_each_replica(
-    const std::function<void(Model&)>& fn) {
-  for (Model& replica : owned_replicas_) fn(replica);
-}
-
-void DataParallelTrainer::broadcast_values() {
-  const ParameterArena& primary_arena = primary_->arena();
+void DataParallelTrainer::broadcast_loose_values() {
+  // Source parameters are not copied: replicas never read them. The loose
+  // parameters (BatchNorm affine, biases) are read directly by their
+  // modules, so no version bump is needed either.
+  const float* src = primary_->arena().values();
   for (Model& replica : owned_replicas_) {
-    replica.arena().load_values(primary_arena.values());
+    float* dst = replica.arena().values();
+    for (const LooseRange& range : loose_) {
+      std::memcpy(dst + range.arena_offset, src + range.arena_offset,
+                  static_cast<std::size_t>(range.count) * sizeof(float));
+    }
   }
 }
 
@@ -123,14 +187,14 @@ void DataParallelTrainer::prepare_step(const Batch& batch) {
   num_shards_ = static_cast<int>(shard_count);
   step_batch_ = &batch;
 
-  // Grow-once scratch: these resizes only allocate until the largest batch
-  // geometry has been seen, after which every step reuses the buffers.
+  // Grow-once scratch: these resizes only allocate until the largest shard
+  // count has been seen, after which every step reuses the buffers. New
+  // spans start zeroed, so the dW slice of a layer that never runs
+  // backward reduces to a zero gradient.
   const auto shards = static_cast<std::size_t>(num_shards_);
-  const auto arena_size =
-      static_cast<std::size_t>(primary_->arena().size());
   if (shard_grads_.size() < shards) shard_grads_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    if (shard_grads_[s].size() < arena_size) shard_grads_[s].resize(arena_size);
+    shard_grads_[s].resize(static_cast<std::size_t>(span_floats_));
   }
   const auto stat_floats = shards * 2 * static_cast<std::size_t>(bn_channels_);
   if (bn_stats_.size() < stat_floats) bn_stats_.resize(stat_floats);
@@ -143,7 +207,13 @@ DataParallelTrainer::StepStats DataParallelTrainer::train_step(
     const Batch& batch, Sgd& optimizer,
     const std::function<void()>& before_step) {
   prepare_step(batch);
-  for (Replica& replica : replicas_) replica.model->arena().zero_grads();
+  // One training materialization per primary source per step, pooled on
+  // the calling thread while the workers are parked. Every shard reads
+  // these tensors; nothing writes them until the source backward below.
+  const std::vector<WeightLayer>& layers = replicas_[0].layers;
+  for (std::size_t j = 0; j < layers.size(); ++j) {
+    weights_[j] = layers[j].source().weight(/*training=*/true).data();
+  }
   std::fill(errors_.begin(), errors_.end(), std::exception_ptr());
 
   {
@@ -200,19 +270,7 @@ void DataParallelTrainer::run_worker(int w) {
   // fixed-chunk-grid kernels make serial execution bit-identical to pooled.
   SerialExecutionGuard guard;
   Replica& replica = replicas_[static_cast<std::size_t>(w)];
-  bool ran_shard = false;
-  for (int s = w; s < num_shards_; s += workers_) {
-    run_shard(replica, s);
-    ran_shard = true;
-  }
-  if (!ran_shard) {
-    // State-advance pass: a replica skipped by a small final batch still
-    // performs its one training materialization per step, keeping stateful
-    // quantizers (LQ-Nets QEM basis) in lockstep with the primary.
-    for (const QuantLayer& layer : replica.model->quant_layers()) {
-      layer.source->weight(/*training=*/true);
-    }
-  }
+  for (int s = w; s < num_shards_; s += workers_) run_shard(replica, s);
 }
 
 void DataParallelTrainer::run_shard(Replica& replica, int shard) {
@@ -220,6 +278,7 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
   const std::int64_t begin = static_cast<std::int64_t>(shard) * micro_batch_;
   const std::int64_t end = std::min(begin + micro_batch_, batch_rows_);
   const std::int64_t rows = end - begin;
+  const auto s = static_cast<std::size_t>(shard);
 
   replica.shard_shape[0] = rows;
   replica.shard_shape[1] = batch.images.dim(1);
@@ -234,16 +293,38 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
   replica.labels.assign(batch.labels.begin() + begin,
                         batch.labels.begin() + end);
 
+  // The loose grads accumulate in the replica arena; start them from zero.
+  ParameterArena& arena = replica.model->arena();
+  for (const LooseRange& range : loose_) {
+    std::memset(arena.grads() + range.arena_offset, 0,
+                static_cast<std::size_t>(range.count) * sizeof(float));
+  }
+
+  float* span = shard_grads_[s].data();
   float* stats = bn_stats_.data() +
-                 static_cast<std::size_t>(shard) * 2 *
-                     static_cast<std::size_t>(bn_channels_);
+                 s * 2 * static_cast<std::size_t>(bn_channels_);
+  // Captures point into trainer-owned buffers; clear them on every exit so
+  // no layer is left reading or writing them outside a shard.
+  struct CaptureScope {
+    Replica& replica;
+    ~CaptureScope() {
+      for (BatchNorm2d* bn : replica.batchnorms) {
+        bn->set_stat_capture(nullptr, nullptr);
+      }
+      for (const WeightLayer& layer : replica.layers) {
+        layer.capture(nullptr, nullptr);
+      }
+    }
+  } scope{replica};
   for (std::size_t j = 0; j < replica.batchnorms.size(); ++j) {
     replica.batchnorms[j]->set_stat_capture(
         stats + bn_offsets_[j], stats + bn_channels_ + bn_offsets_[j]);
   }
+  for (std::size_t j = 0; j < replica.layers.size(); ++j) {
+    replica.layers[j].capture(weights_[j], span + dw_offsets_[j]);
+  }
 
   Tensor logits = replica.model->forward(images, /*training=*/true);
-  const auto s = static_cast<std::size_t>(shard);
   shard_loss_[s] = replica.loss.forward(logits, replica.labels);
   shard_correct_[s] = count_correct(replica.loss.predictions(),
                                     replica.labels);
@@ -264,16 +345,10 @@ void DataParallelTrainer::run_shard(Replica& replica, int shard) {
   }
   replica.model->backward(grad);
 
-  for (BatchNorm2d* bn : replica.batchnorms) {
-    bn->set_stat_capture(nullptr, nullptr);
+  for (const LooseRange& range : loose_) {
+    std::memcpy(span + range.span_offset, arena.grads() + range.arena_offset,
+                static_cast<std::size_t>(range.count) * sizeof(float));
   }
-
-  // Move this shard's gradients out of the replica arena and reset it so
-  // the worker's next shard accumulates from zero.
-  ParameterArena& arena = replica.model->arena();
-  std::memcpy(shard_grads_[s].data(), arena.grads(),
-              static_cast<std::size_t>(arena.size()) * sizeof(float));
-  arena.zero_grads();
 }
 
 void DataParallelTrainer::combine_and_step(
@@ -281,29 +356,41 @@ void DataParallelTrainer::combine_and_step(
     StepStats& stats) {
   ParameterArena& arena = primary_->arena();
 
-  // Pairwise tree over the shard gradient spans; the tree shape depends
-  // only on the shard count, and the pool is idle here, so the pooled
-  // fixed-chunk-grid kernel is both fast and deterministic.
+  // Pairwise tree over the shard spans; the tree shape depends only on the
+  // shard count, and the pool is idle here, so the pooled fixed-chunk-grid
+  // kernel is both fast and deterministic.
   const float* sources[kMaxReduceSpans];
   for (int s = 0; s < num_shards_; ++s) {
     sources[s] = shard_grads_[static_cast<std::size_t>(s)].data();
   }
-  tree_reduce_spans(sources, num_shards_, arena.grads(), arena.size(),
+  tree_reduce_spans(sources, num_shards_, reduced_.data(), span_floats_,
                     default_kernel_exec());
 
-  // Replay captured batchnorm statistics in shard order on EVERY replica:
-  // the primary's running stats see exactly the serial update sequence, and
-  // the worker replicas stay byte-identical to it.
+  // Full-batch gradients into the primary arena: the loose grads scatter,
+  // and each source runs its (pooled) backward once on the reduced dW.
+  arena.zero_grads();
+  for (const LooseRange& range : loose_) {
+    std::memcpy(arena.grads() + range.arena_offset,
+                reduced_.data() + range.span_offset,
+                static_cast<std::size_t>(range.count) * sizeof(float));
+  }
+  const std::vector<WeightLayer>& layers = replicas_[0].layers;
+  for (std::size_t j = 0; j < layers.size(); ++j) {
+    layers[j].source().backward(reduced_dw_[j]);
+  }
+
+  // Replay captured batchnorm statistics in shard order: the primary's
+  // running stats see exactly the serial update sequence. Replicas only
+  // run training forwards, which never read running stats.
+  const Replica& head = replicas_[0];
   for (int s = 0; s < num_shards_; ++s) {
     const float* stat_base = bn_stats_.data() +
                              static_cast<std::size_t>(s) * 2 *
                                  static_cast<std::size_t>(bn_channels_);
-    for (Replica& replica : replicas_) {
-      for (std::size_t j = 0; j < replica.batchnorms.size(); ++j) {
-        replica.batchnorms[j]->replay_batch_stats(
-            stat_base + bn_offsets_[j],
-            stat_base + bn_channels_ + bn_offsets_[j]);
-      }
+    for (std::size_t j = 0; j < head.batchnorms.size(); ++j) {
+      head.batchnorms[j]->replay_batch_stats(
+          stat_base + bn_offsets_[j],
+          stat_base + bn_channels_ + bn_offsets_[j]);
     }
   }
 
@@ -322,7 +409,7 @@ void DataParallelTrainer::combine_and_step(
 
   if (before_step) before_step();
   optimizer.step();
-  broadcast_values();
+  broadcast_loose_values();
 }
 
 EpochStats train_one_epoch(DataParallelTrainer& trainer, Sgd& optimizer,

@@ -1,12 +1,24 @@
-// Deterministic data-parallel training over model replicas.
+// Deterministic data-parallel training over model replicas, reduced in
+// weight space.
 //
 // One optimizer step processes a batch as a FIXED grid of micro-batch
-// shards; each shard runs a full forward/backward on one replica, the
-// per-shard gradients are combined by a chunk-ordered pairwise tree
-// reduction (tensor/quant_kernels.h tree_reduce_spans) into the primary
-// model's gradient arena, and the optimizer steps the primary once. The
-// updated values are broadcast back to every replica through the flat
-// parameter arenas (nn/parameter_arena.h).
+// shards:
+//   1. The calling thread materializes every primary WeightSource ONCE, in
+//      training mode, with the pooled fixed-chunk kernels. A soft weight
+//      (e.g. CSQ's Eq. 5) depends only on the parameters and the scheme
+//      state, never on the batch, so no shard needs its own copy.
+//   2. Each shard runs forward/backward on one replica. Its Conv2d/Linear
+//      layers read the shared primary weights through the weight-capture
+//      hook (nn/conv2d.h) and write dL/dW straight into the shard's span.
+//      A span holds every layer's dW plus the grads of the parameters no
+//      weight source owns (BatchNorm gamma/beta, biases) — about the size
+//      of the weights, not of the 2-planes-per-bit parameterization.
+//   3. The spans combine by a chunk-ordered pairwise tree
+//      (tensor/quant_kernels.h tree_reduce_spans). Each primary source then
+//      runs backward(dW) once, pooled, into the primary arena; the non-source
+//      grads scatter into it alongside.
+//   4. `before_step` and the optimizer run on the primary, and only the
+//      non-source parameter values are broadcast to the replicas.
 //
 // Determinism contract — the point of the design: the numerical result of a
 // step depends only on the batch and the shard grid, NOT on the worker
@@ -15,28 +27,27 @@
 //      never enters the partition), so every worker count sees the same
 //      per-shard forward/backward problems.
 //   2. Each shard's kernels run serially on its worker thread
-//      (util/thread_pool.h SerialExecutionGuard) and every reduction kernel
-//      walks the same fixed chunk grid, so per-shard gradients are
-//      bit-identical regardless of which thread computed them.
-//   3. Gradients combine by a pairwise tree whose shape depends only on the
+//      (util/thread_pool.h SerialExecutionGuard), and the once-per-step
+//      materialization and source backward run pooled on the fixed chunk
+//      grid, which is bit-identical to serial. So every per-shard span is
+//      the same bytes whichever thread computed it.
+//   3. Spans combine by a pairwise tree whose shape depends only on the
 //      shard count, BatchNorm running statistics are captured per shard and
 //      replayed in shard order (nn/batchnorm.h), and the per-shard losses
 //      combine in shard order on the calling thread.
 // Hence workers=1 and workers=8 produce byte-identical models, and the
-// degenerate single-shard grid (micro_batch >= batch size) is bit-identical
-// to the classic serial train_one_epoch step.
+// degenerate single-shard grid (micro_batch >= batch size) hands each
+// source backward exactly the dW bytes the classic serial train_one_epoch
+// step does, so the two are bit-identical.
 //
-// Replica state: parameters are re-synchronized every step via the arena
-// broadcast. Non-parameter quantizer state (e.g. the LQ-Nets basis) stays
-// in lockstep because every replica performs exactly one materialization
-// per step — replicas left without a shard by a small final batch run a
-// state-advance pass — and each training materialization is a deterministic
-// function of the (synchronized) parameters plus the previous state. For
-// that induction to hold from step one, the replica factory must rebuild
-// the model identically (same builder, same seed) and the trainer must be
-// constructed while primary and factory-built models agree on that
-// non-parameter state (in practice: before training starts, or right after
-// a checkpoint load on both sides).
+// Replica state: a replica is a scratch model for shard forwards. It holds
+// the synchronized non-source parameters (re-broadcast every step) and its
+// activation caches; its weight sources are never materialized or
+// backpropagated, so their parameters go stale and their gate caches are
+// never allocated. Replica sources stay alive and callable (set_beta on
+// them is harmless) but nothing reads them. Stateful quantizers (the LQ-Nets
+// QEM basis) advance only on the primary, once per step, so replicas need
+// no lockstep and the factory only has to reproduce the parameter layout.
 #pragma once
 
 #include <condition_variable>
@@ -49,6 +60,8 @@
 
 #include "data/dataset.h"
 #include "nn/batchnorm.h"
+#include "nn/conv2d.h"
+#include "nn/linear.h"
 #include "nn/model.h"
 #include "nn/softmax_ce.h"
 #include "opt/sgd.h"
@@ -58,8 +71,8 @@ namespace csq {
 
 struct DataParallelConfig {
   // Worker threads (including the calling thread). workers - 1 replicas are
-  // built from the factory; worker w drives replica w, shard s runs on
-  // replica s % workers.
+  // built from the factory; worker w drives replica w (replica 0 is the
+  // primary), shard s runs on replica s % workers.
   int workers = 1;
   // Micro-batch rows per shard. 0 selects ceil(B / kDefaultTrainShards) per
   // batch, giving at most kDefaultTrainShards shards. The resulting shard
@@ -79,7 +92,8 @@ class DataParallelTrainer {
   // `primary` is replica 0 and the model the optimizer steps; it must
   // outlive the trainer. `replica_factory` is invoked workers - 1 times and
   // must produce models with an identical parameter layout (checked via
-  // ParameterArena::layout_matches). Binds the primary's arena.
+  // ParameterArena::layout_matches). Every registered WeightSource must
+  // belong to a Conv2d or Linear layer. Binds the primary's arena.
   DataParallelTrainer(Model& primary, const ModelFactory& replica_factory,
                       const DataParallelConfig& config);
   ~DataParallelTrainer();
@@ -92,9 +106,10 @@ class DataParallelTrainer {
     int correct = 0;    // top-1 matches in the batch
   };
 
-  // One optimizer step over `batch`: shard, forward/backward per shard,
-  // tree-reduce gradients into the primary arena, run `before_step` (budget
-  // regularizers), step the optimizer, broadcast values to the replicas.
+  // One optimizer step over `batch`: materialize the primary weights,
+  // forward/backward per shard, tree-reduce the dW spans, run each primary
+  // source's backward once, run `before_step` (budget regularizers), step
+  // the optimizer, broadcast the non-source values to the replicas.
   // `optimizer` must be the arena-backed Sgd over primary().arena().
   StepStats train_step(const Batch& batch, Sgd& optimizer,
                        const std::function<void()>& before_step = {});
@@ -102,23 +117,33 @@ class DataParallelTrainer {
   Model& primary() { return *primary_; }
   int workers() const { return workers_; }
 
-  // Visits the worker replicas (NOT the primary) — used to mirror
-  // scheme-level state the arena broadcast cannot carry (temperature,
-  // frozen masks).
-  void for_each_replica(const std::function<void(Model&)>& fn);
-
  private:
+  // A layer that owns a WeightSource and takes the weight-capture hook.
+  struct WeightLayer {
+    Conv2d* conv = nullptr;
+    Linear* linear = nullptr;
+    WeightSource& source() const;
+    void capture(const float* weight, float* grad_weight) const;
+  };
   struct Replica {
     Model* model = nullptr;  // replicas_[0] aliases the primary
     SoftmaxCrossEntropy loss;
     std::vector<int> labels;                  // shard label scratch
     std::vector<std::int64_t> shard_shape;    // {b, C, H, W} scratch
     std::vector<BatchNorm2d*> batchnorms;     // depth-first module order
+    std::vector<WeightLayer> layers;          // depth-first module order
+  };
+  // A run of arena elements whose parameters no weight source owns. Their
+  // grads travel in the shard spans at span_offset; their values are what
+  // the broadcast carries.
+  struct LooseRange {
+    std::int64_t arena_offset = 0;
+    std::int64_t count = 0;
+    std::int64_t span_offset = 0;
   };
 
   void worker_loop(int w);
-  // Runs every shard assigned to worker w under a SerialExecutionGuard;
-  // runs the state-advance pass when w has no shard this step.
+  // Runs every shard assigned to worker w under a SerialExecutionGuard.
   void run_worker(int w);
   void run_shard(Replica& replica, int shard);
   // Grow-once sizing of the per-shard buffers for the current step.
@@ -126,7 +151,7 @@ class DataParallelTrainer {
   void combine_and_step(Sgd& optimizer,
                         const std::function<void()>& before_step,
                         StepStats& stats);
-  void broadcast_values();
+  void broadcast_loose_values();
 
   Model* primary_ = nullptr;
   int workers_ = 1;
@@ -139,6 +164,18 @@ class DataParallelTrainer {
   // channel offset of each batchnorm in a per-shard stat span.
   std::vector<std::int64_t> bn_offsets_;
   std::int64_t bn_channels_ = 0;
+
+  // Shard-span layout, shared by all replicas: layer j's dW at
+  // dw_offsets_[j], then the loose ranges; span_floats_ in total.
+  std::vector<std::int64_t> dw_offsets_;
+  std::vector<LooseRange> loose_;
+  std::int64_t span_floats_ = 0;
+  // Primary weights materialized at the start of each step (layer order).
+  std::vector<const float*> weights_;
+  // The reduced span, and one borrow view per layer of its dW slice shaped
+  // like the layer's weight (built once, so the step allocates nothing).
+  std::vector<float> reduced_;
+  std::vector<Tensor> reduced_dw_;
 
   // Per-step shard state (grow-once; steady state allocates nothing).
   const Batch* step_batch_ = nullptr;

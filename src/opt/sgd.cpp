@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tensor/quant_kernels.h"
 #include "util/check.h"
 
 namespace csq {
@@ -27,22 +28,39 @@ void Sgd::step() {
   const float momentum = config_.momentum;
 
   if (arena_ != nullptr) {
-    // One sweep over the flat spans. The view loop only switches the decay
-    // coefficient; values/grads/velocity advance contiguously.
+    // One sweep over the flat spans on the fixed chunk grid, pooled unless
+    // the caller runs serially. The update is elementwise, so the chunking
+    // cannot change a bit; each chunk walks the views it overlaps only to
+    // switch the decay coefficient.
     float* value = arena_->values();
     const float* grad = arena_->grads();
     float* velocity = arena_velocity_.data();
-    for (const ParameterArena::View& view : arena_->views()) {
-      const float decay = view.weight_decay ? config_.weight_decay : 0.0f;
-      const std::int64_t begin = view.offset;
-      const std::int64_t end = view.offset + view.count;
-      for (std::int64_t i = begin; i < end; ++i) {
-        const float g = grad[i] + decay * value[i];
-        velocity[i] = momentum * velocity[i] + g;
-        value[i] -= lr * velocity[i];
-      }
-      view.param->mark_updated();
-    }
+    const std::vector<ParameterArena::View>& views = arena_->views();
+    const float weight_decay = config_.weight_decay;
+    for_each_quant_chunk(
+        arena_->size(), default_kernel_exec(),
+        [&](std::int64_t, std::int64_t begin, std::int64_t end) {
+          // The last view starting at or before `begin` contains it.
+          auto view =
+              std::upper_bound(views.begin(), views.end(), begin,
+                               [](std::int64_t offset,
+                                  const ParameterArena::View& v) {
+                                 return offset < v.offset;
+                               }) -
+              1;
+          for (; begin < end; ++view) {
+            const std::int64_t stop =
+                std::min(end, view->offset + view->count);
+            const float decay = view->weight_decay ? weight_decay : 0.0f;
+            for (std::int64_t i = begin; i < stop; ++i) {
+              const float g = grad[i] + decay * value[i];
+              velocity[i] = momentum * velocity[i] + g;
+              value[i] -= lr * velocity[i];
+            }
+            begin = stop;
+          }
+        });
+    for (const ParameterArena::View& view : views) view.param->mark_updated();
     return;
   }
 

@@ -20,9 +20,9 @@ class Sgd {
  public:
   Sgd(std::vector<Parameter*> parameters, const SgdConfig& config);
   // Arena-backed optimizer: one flat velocity buffer, and step() is a
-  // single sweep over the contiguous value/grad spans in view order —
-  // bit-identical to the per-parameter path (same per-element arithmetic
-  // in the same order), but without the tensor pointer chase.
+  // single sweep over the contiguous value/grad spans, pooled over the
+  // fixed chunk grid — bit-identical to the per-parameter path (same
+  // per-element arithmetic), but without the tensor pointer chase.
   Sgd(ParameterArena& arena, const SgdConfig& config);
 
   // One update: v = momentum*v + (grad + wd*w); w -= lr * v.

@@ -57,9 +57,9 @@ const Tensor& LqNetsWeightSource::weight(bool training) {
   // Eval dirty-flag: the E-step encoding is a pure function of the latents
   // and the current basis. A training call IS a QEM iteration (the M-step
   // refits the basis), so it is only ever skipped when its inputs are
-  // UNCHANGED since the previous training call — repeated forwards within
-  // one optimizer step (micro-batch shards of the data-parallel trainer)
-  // reuse the iteration's result instead of compounding extra M-steps.
+  // UNCHANGED since the previous training call — repeated requests within
+  // one optimizer step (a layer's forward and backward) reuse the
+  // iteration's result instead of compounding extra M-steps.
   const std::uint64_t stamp = latent_.version + internal_rev_;
   if (!training && eval_cache_fresh(stamp)) return quantized_;
   if (training && train_cache_valid_ && train_cache_stamp_ == stamp) {

@@ -53,10 +53,9 @@ class LqNetsWeightSource final : public WeightSource {
   // Training-side dirty flag: a training weight() whose inputs are
   // unchanged since the last QEM iteration reuses the materialized tensor
   // instead of running another E/M step. One optimizer step therefore
-  // performs exactly ONE QEM iteration no matter how many forward passes it
-  // contains — the property that keeps data-parallel replicas' bases in
-  // lockstep at any micro-batch shard count (each shard re-forwards the
-  // same step). Invalidated by any parameter/basis revision and by
+  // performs exactly ONE QEM iteration no matter how many times it asks
+  // for the training weight (a layer's forward and backward both do).
+  // Invalidated by any parameter/basis revision and by
   // eval-mode materializations (which re-encode against the post-update
   // levels, overwriting quantized_).
   std::uint64_t train_cache_stamp_ = 0;

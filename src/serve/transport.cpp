@@ -210,6 +210,10 @@ void ServeTransport::Impl::accept_ready() {
       ++stats.transport_errors;
       continue;
     }
+    // Replies are small frames: without TCP_NODELAY the second of two
+    // back-to-back replies on a connection waits for the client's delayed
+    // ACK of the first.
+    net::set_nodelay(fd);
     auto conn = std::make_shared<Connection>();
     conn->fd.reset(fd);
     epoll_event event{};

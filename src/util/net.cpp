@@ -101,9 +101,7 @@ UniqueFd connect_loopback(std::uint16_t port) {
     if (errno == EINTR) continue;
     return UniqueFd();
   }
-  // Frames are small request/response pairs; latency beats coalescing.
-  const int enable = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
+  set_nodelay(fd.get());
   return fd;
 }
 
@@ -111,6 +109,12 @@ bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+bool set_nodelay(int fd) {
+  const int enable = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable,
+                      sizeof(enable)) == 0;
 }
 
 }  // namespace net

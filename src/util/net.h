@@ -58,11 +58,17 @@ bool write_full(int fd, const void* buffer, std::size_t size);
 UniqueFd listen_loopback(std::uint16_t port, int backlog,
                          std::uint16_t* bound_port);
 
-// Blocking connect to 127.0.0.1:`port`. Invalid UniqueFd on failure.
+// Blocking connect to 127.0.0.1:`port` with TCP_NODELAY set. Invalid
+// UniqueFd on failure.
 UniqueFd connect_loopback(std::uint16_t port);
 
 // Sets O_NONBLOCK. False on fcntl failure.
 bool set_nonblocking(int fd);
+
+// Sets TCP_NODELAY. Frames are small request/response pairs, so latency
+// beats coalescing: with Nagle on, a second small write waits for the
+// peer's (delayed, ~40 ms) ACK of the first. False on setsockopt failure.
+bool set_nodelay(int fd);
 
 }  // namespace net
 }  // namespace csq

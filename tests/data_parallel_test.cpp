@@ -2,7 +2,10 @@
 // optimizer step must be bit-identical to serial execution at every worker
 // count, for every weight-source family (including the stateful LQ-Nets
 // QEM quantizer), with batchnorm running statistics reproduced exactly and
-// zero steady-state heap allocations.
+// zero steady-state heap allocations. The weight-space reduction must
+// materialize each primary source once per step, never touch the replica
+// sources, and match a per-shard parameter-space reference gradient.
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -17,6 +20,7 @@
 #include "data/synthetic.h"
 #include "nn/batchnorm.h"
 #include "nn/models.h"
+#include "nn/softmax_ce.h"
 #include "opt/data_parallel.h"
 #include "quant/bsq_weight.h"
 #include "quant/dorefa_weight.h"
@@ -185,9 +189,9 @@ TEST(DataParallel, BitIdenticalAcrossWorkerCountsAllFamilies) {
 
 TEST(DataParallel, IdleReplicasStayInLockstep) {
   // 5-row batches at micro_batch 2 make 3 shards: with 4 workers one
-  // replica gets no shard and must advance its quantizer state anyway.
-  // LQ-Nets is the stateful family this exercises hardest (its QEM basis
-  // evolves once per step).
+  // replica gets no shard. Quantizer state (LQ-Nets' QEM basis evolves once
+  // per step) lives only on the primary, which materializes once per step
+  // whatever the shard assignment, so an idle replica changes nothing.
   for (const std::string& family : {std::string("lqnets"),
                                     std::string("csq")}) {
     SCOPED_TRACE(family);
@@ -324,28 +328,174 @@ TEST(DataParallel, CsqTrainingPipelineMatchesSerial) {
 
 // ---- steady-state allocation discipline -----------------------------------
 
-TEST(DataParallel, SteadyStateStepPerformsNoAllocations) {
+// Runs one warmed-up 4-shard step at 2 workers and returns its heap
+// allocation count.
+std::uint64_t steady_state_step_allocations(const std::string& family) {
   const SyntheticDataset data = tiny_data();
-  Model model = build_model("dense");
+  Model model = build_model(family);
   DataParallelConfig dp_config;
   dp_config.workers = 2;
   dp_config.micro_batch = 8;  // 4 shards over a 32-row batch
   DataParallelTrainer trainer(
-      model, [] { return build_model("dense"); }, dp_config);
+      model, [&family] { return build_model(family); }, dp_config);
   Sgd optimizer(model.arena(), sgd_config());
 
   std::vector<int> indices(32);
   std::iota(indices.begin(), indices.end(), 0);
   const Batch batch = data.train.gather(indices);
 
-  // Warmup: grow the shard buffers, the tensor pool and every per-replica
-  // scratch vector to their steady-state high-water marks.
+  // Warmup: grow the shard buffers, the tensor pool, every per-replica
+  // scratch vector and the primary sources' gate caches to their
+  // steady-state high-water marks.
   for (int i = 0; i < 3; ++i) trainer.train_step(batch, optimizer);
 
   const std::uint64_t before = testing::alloc_count();
   trainer.train_step(batch, optimizer);
-  EXPECT_EQ(testing::alloc_count() - before, 0u)
+  return testing::alloc_count() - before;
+}
+
+TEST(DataParallel, SteadyStateStepPerformsNoAllocations) {
+  EXPECT_EQ(steady_state_step_allocations("dense"), 0u)
       << "steady-state data-parallel step hit the heap";
+}
+
+TEST(DataParallel, SteadyStateCsqStepPerformsNoAllocations) {
+  // The CSQ path adds the once-per-step materialization and the reduced-dW
+  // source backward on the calling thread.
+  EXPECT_EQ(steady_state_step_allocations("csq"), 0u)
+      << "steady-state data-parallel CSQ step hit the heap";
+}
+
+// ---- weight-space reduction ------------------------------------------------
+
+TEST(DataParallel, MaterializesOncePerStep) {
+  // 24-row batches: micro_batch 24 / 8 / 3 give 1 / 3 / 8 shards, so some
+  // grids leave replicas idle and some give a worker several shards.
+  const SyntheticDataset data = tiny_data();
+  std::vector<int> indices(24);
+  std::iota(indices.begin(), indices.end(), 0);
+  const Batch batch = data.train.gather(indices);
+
+  for (const std::string& family : {std::string("csq"),
+                                    std::string("lqnets")}) {
+    for (const int workers : {1, 2, 4}) {
+      for (const std::int64_t micro_batch : {24, 8, 3}) {
+        SCOPED_TRACE(family + " x" + std::to_string(workers) +
+                     " micro_batch " + std::to_string(micro_batch));
+        Model model = build_model(family);
+        std::vector<WeightSource*> replica_sources;
+        DataParallelConfig dp_config;
+        dp_config.workers = workers;
+        dp_config.micro_batch = micro_batch;
+        DataParallelTrainer trainer(
+            model,
+            [&family, &replica_sources] {
+              Model replica = build_model(family);
+              for (const QuantLayer& layer : replica.quant_layers()) {
+                replica_sources.push_back(layer.source);
+              }
+              return replica;
+            },
+            dp_config);
+        Sgd optimizer(model.arena(), sgd_config());
+
+        const auto counts = [](const std::vector<WeightSource*>& sources) {
+          std::vector<std::uint64_t> out;
+          for (const WeightSource* source : sources) {
+            out.push_back(source->materialize_count());
+          }
+          return out;
+        };
+        std::vector<WeightSource*> primary_sources;
+        for (const QuantLayer& layer : model.quant_layers()) {
+          primary_sources.push_back(layer.source);
+        }
+        ASSERT_FALSE(primary_sources.empty());
+        const std::vector<std::uint64_t> replica_before =
+            counts(replica_sources);
+        std::vector<std::uint64_t> primary = counts(primary_sources);
+        for (int step = 0; step < 3; ++step) {
+          trainer.train_step(batch, optimizer);
+          const std::vector<std::uint64_t> now = counts(primary_sources);
+          for (std::size_t j = 0; j < now.size(); ++j) {
+            EXPECT_EQ(now[j], primary[j] + 1)
+                << "primary source " << j << " at step " << step;
+          }
+          primary = now;
+        }
+        EXPECT_EQ(counts(replica_sources), replica_before)
+            << "a replica source materialized";
+      }
+    }
+  }
+}
+
+TEST(DataParallel, WeightSpaceGradientMatchesPerShardReference) {
+  // The trainer reduces dL/dW across shards and backpropagates each source
+  // once; the reference runs every shard through the classic model (each
+  // source backpropagating per shard, grads accumulating in parameter
+  // space) with the same rows/batch loss scale. Source backwards are linear
+  // in dW, so the two agree up to float summation order.
+  const SyntheticDataset data = tiny_data();
+  DataLoader loader(data.train, 32, /*shuffle=*/true, Rng(5));
+  for (const std::string& family : {std::string("csq"), std::string("bsq"),
+                                    std::string("lqnets")}) {
+    SCOPED_TRACE(family);
+    Model model = build_model(family);
+    Model reference = build_model(family);
+    DataParallelConfig dp_config;
+    dp_config.workers = 4;
+    dp_config.micro_batch = 4;  // 8 shards over a 32-row batch
+    DataParallelTrainer trainer(
+        model, [&family] { return build_model(family); }, dp_config);
+    Sgd optimizer(model.arena(), sgd_config());
+    ParameterArena& arena = model.arena();
+    ParameterArena& ref_arena = reference.arena();
+    ASSERT_TRUE(ref_arena.layout_matches(arena));
+
+    loader.start_epoch();
+    Batch batch;
+    for (int step = 0; step < 2; ++step) {
+      ASSERT_TRUE(loader.next(batch));
+      ASSERT_EQ(batch.images.dim(0), 32);
+      std::vector<float> dp_grads;
+      trainer.train_step(batch, optimizer, [&] {
+        dp_grads.assign(arena.grads(), arena.grads() + arena.size());
+      });
+
+      // Sequential per-shard reference from the same pre-step values.
+      ref_arena.zero_grads();
+      SoftmaxCrossEntropy loss;
+      const std::int64_t sample = batch.images.numel() / 32;
+      for (std::int64_t begin = 0; begin < 32; begin += 4) {
+        Tensor images({4, batch.images.dim(1), batch.images.dim(2),
+                       batch.images.dim(3)});
+        std::memcpy(images.data(), batch.images.data() + begin * sample,
+                    static_cast<std::size_t>(4 * sample) * sizeof(float));
+        const std::vector<int> labels(batch.labels.begin() + begin,
+                                      batch.labels.begin() + begin + 4);
+        loss.forward(reference.forward(images, /*training=*/true), labels);
+        Tensor grad = loss.backward();
+        for (std::int64_t i = 0; i < grad.numel(); ++i) {
+          grad.data()[i] *= 4.0f / 32.0f;
+        }
+        reference.backward(grad);
+      }
+
+      double diff = 0.0, norm = 0.0;
+      for (std::int64_t i = 0; i < ref_arena.size(); ++i) {
+        const double want = ref_arena.grads()[i];
+        const double got = dp_grads[static_cast<std::size_t>(i)];
+        diff += (got - want) * (got - want);
+        norm += want * want;
+      }
+      ASSERT_GT(norm, 0.0);
+      EXPECT_LE(std::sqrt(diff / norm), 1e-5) << "step " << step;
+
+      // Next step starts the reference from the primary's updated values.
+      ref_arena.load_values(arena.values());
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 //
 //  * Transport.*    — the loopback TCP front of the batching server: wire
 //    round trips bit-identical to in-process infer, concurrent clients,
-//    malformed/oversized/bad-deadline frames, listener-first graceful
-//    drain, and the transport.{accept,read,write} failpoints;
+//    malformed/oversized/bad-deadline frames, pipelined frames clear of
+//    the delayed-ACK stall, listener-first graceful drain, and the
+//    transport.{accept,read,write} failpoints;
 //  * ReplicaScaling.* — BatchingServer::set_replicas: runtime scale-up
 //    (bootstrapped from the restore template, bit-identical results) and
 //    cooperative scale-down with no dropped requests;
@@ -15,6 +16,7 @@
 //    rejecting borrowed programs, and pre-v5 artifacts rejected cleanly.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -355,6 +357,92 @@ TEST(Transport, StopClosesTheListenerFirstAndDrains) {
   serve::TransportClient late(port);
   EXPECT_FALSE(late.connected());
   // stop() is idempotent.
+  transport.stop();
+  server.stop();
+}
+
+TEST(Transport, PipelinedFramesBeatTheDelayedAckFloor) {
+  // Two request frames written back to back on one connection. The server
+  // answers them in order with two small writes; were Nagle left on for
+  // accepted sockets, the second reply would sit in the kernel until the
+  // client's delayed ACK of the first (~40 ms on Linux).
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  serve::BatchingServer server;
+  std::vector<runtime::CompiledGraph> replicas;
+  replicas.push_back(std::move(graph));
+  server.add_model("m", std::move(replicas));
+  server.start();
+  serve::ServeTransport transport(server);
+  transport.start();
+
+  // Wire layout (serve/transport.h): u32 body_len | u16 id_len | id |
+  // i64 deadline_us | u32 sample_count | f32 samples.
+  const std::string id = "m";
+  const std::vector<float> sample(static_cast<std::size_t>(kSampleNumel),
+                                  0.25f);
+  std::vector<std::uint8_t> frame;
+  const auto append = [&frame](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    frame.insert(frame.end(), bytes, bytes + size);
+  };
+  const auto body_len = static_cast<std::uint32_t>(
+      2 + id.size() + 8 + 4 + sample.size() * sizeof(float));
+  const auto id_len = static_cast<std::uint16_t>(id.size());
+  const std::int64_t deadline_us = -1;
+  const auto count = static_cast<std::uint32_t>(sample.size());
+  append(&body_len, sizeof(body_len));
+  append(&id_len, sizeof(id_len));
+  append(id.data(), id.size());
+  append(&deadline_us, sizeof(deadline_us));
+  append(&count, sizeof(count));
+  append(sample.data(), sample.size() * sizeof(float));
+  std::vector<std::uint8_t> pair = frame;
+  pair.insert(pair.end(), frame.begin(), frame.end());
+
+  net::UniqueFd fd = net::connect_loopback(transport.port());
+  ASSERT_TRUE(fd.valid());
+  const auto read_ok_reply = [&fd]() {
+    std::uint32_t len = 0;
+    if (!net::read_full(fd.get(), &len, sizeof(len)) || len < 5) return false;
+    std::vector<std::uint8_t> body(len);
+    return net::read_full(fd.get(), body.data(), body.size()) &&
+           body[0] == static_cast<std::uint8_t>(serve::WireStatus::kOk);
+  };
+  const auto elapsed_ms = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  const auto median = [](std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+  };
+  // Single round trips first: they take the connection past the kernel's
+  // quick-ACK phase and time one request on this build and host.
+  std::vector<double> single_ms;
+  for (int i = 0; i < 9; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(net::write_full(fd.get(), frame.data(), frame.size()));
+    ASSERT_TRUE(read_ok_reply());
+    single_ms.push_back(elapsed_ms(start));
+  }
+  std::vector<double> pair_ms;
+  for (int i = 0; i < 9; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(net::write_full(fd.get(), pair.data(), pair.size()));
+    ASSERT_TRUE(read_ok_reply());
+    ASSERT_TRUE(read_ok_reply());
+    pair_ms.push_back(elapsed_ms(start));
+  }
+  // The server answers one frame per connection at a time, so a pair costs
+  // about two round trips. What it must not cost is a delayed-ACK wait on
+  // top (~40 ms; sanitizer builds only stretch the round trips).
+  const double stall_ms = median(pair_ms) - 2.0 * median(single_ms);
+  EXPECT_LT(stall_ms, 15.0)
+      << "a pipelined pair took the delayed-ACK path: pair p50 "
+      << median(pair_ms) << " ms, single round trip p50 "
+      << median(single_ms) << " ms";
+
   transport.stop();
   server.stop();
 }
