@@ -69,7 +69,9 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
                         : ws_.floats(kEvalColSlot,
                                      pool_slot_count() * col_rows * col_cols);
 
+  ws_.reserve_slot_gemm(out_c, col_cols, col_rows);
   struct ForwardContext {
+    Workspace* ws;
     ConvGeometry geom;
     const float* in_data;
     float* out_data;
@@ -80,6 +82,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     std::int64_t out_c, col_rows, col_cols;
     bool batch_cols;  // col_data indexed by sample (true) or pool slot
   } ctx;
+  ctx.ws = &ws_;
   ctx.geom = geom;
   ctx.in_data = input.data();
   ctx.out_data = output.data();
@@ -106,7 +109,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     // out_b(OC, P) = W(OC, K) * col(K, P)
     gemm(Trans::no, Trans::no, ctx.out_c, ctx.col_cols, ctx.col_rows, 1.0f,
          ctx.w_data, ctx.col_rows, col, ctx.col_cols, 0.0f, out_b,
-         ctx.col_cols);
+         ctx.col_cols, ctx.ws->slot_gemm_scratch());
     if (ctx.bias != nullptr) {
       for (std::int64_t oc = 0; oc < ctx.out_c; ++oc) {
         float* plane = out_b + oc * ctx.col_cols;
@@ -150,7 +153,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   // Zero-filled construction: col2im scatter-adds into its sample slice.
   Tensor grad_input({batch, geom.channels, geom.height, geom.width});
 
+  // Both parallel regions below run serial GEMMs on per-slot scratch.
+  ws_.reserve_slot_gemm(col_rows, col_cols, out_c);
+  ws_.reserve_slot_gemm(out_c, col_rows, col_cols);
   struct InputGradContext {
+    Workspace* ws;
     ConvGeometry geom;
     const float* w_data;
     const float* go_data;
@@ -159,6 +166,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     std::int64_t out_stride, col_stride, in_stride;
     std::int64_t out_c, col_rows, col_cols;
   } ictx;
+  ictx.ws = &ws_;
   ictx.geom = geom;
   ictx.w_data = weights != nullptr ? weights->data() : capture_weight_;
   ictx.go_data = grad_output.data();
@@ -177,7 +185,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     // grad_col(K, P) = W^T(K, OC) * dOut_b(OC, P); A = W stored (OC, K).
     gemm(Trans::yes, Trans::no, ictx.col_rows, ictx.col_cols, ictx.out_c,
          1.0f, ictx.w_data, ictx.col_rows, ictx.go_data + b * ictx.out_stride,
-         ictx.col_cols, 0.0f, grad_col, ictx.col_cols);
+         ictx.col_cols, 0.0f, grad_col, ictx.col_cols,
+         ictx.ws->slot_gemm_scratch());
     col2im(ictx.geom, grad_col, ictx.gi_data + b * ictx.in_stride);
   });
 
@@ -189,6 +198,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                             : &ws_.tensor(kGradWeightSlot, weights->shape());
 
   struct WeightGradContext {
+    Workspace* ws;
     const float* go_data;
     const float* col_data;
     float* gw_data;
@@ -196,6 +206,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     std::int64_t batch, out_stride, col_stride;
     std::int64_t col_rows, col_cols;
   } wctx;
+  wctx.ws = &ws_;
   wctx.go_data = grad_output.data();
   wctx.col_data = cols.data();
   wctx.gw_data =
@@ -216,7 +227,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
            wctx.go_data + b * wctx.out_stride + oc_begin * wctx.col_cols,
            wctx.col_cols, wctx.col_data + b * wctx.col_stride, wctx.col_cols,
            b == 0 ? 0.0f : 1.0f, wctx.gw_data + oc_begin * wctx.col_rows,
-           wctx.col_rows);
+           wctx.col_rows, wctx.ws->slot_gemm_scratch());
     }
     if (wctx.gb_data != nullptr) {
       // Bias gradient folded into the same disjoint OC ownership: each

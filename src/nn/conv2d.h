@@ -7,9 +7,10 @@
 // output channels so no accumulation races occur.
 //
 // Every recurring buffer — the cached im2col matrix, the per-thread
-// grad_col stripes and the dW staging tensor — lives in a per-layer
-// Workspace with grow-once semantics, so steady-state training steps
-// perform zero heap allocations.
+// grad_col stripes, the per-slot GEMM packing scratch and the dW staging
+// tensor — lives in a per-layer Workspace with grow-once semantics, sized on
+// the calling thread before each parallel region, so steady-state training
+// steps perform zero heap allocations.
 //
 // Weight capture (set_weight_capture) lets the data-parallel trainer run
 // the layer on a weight it materialized once for the whole step, and

@@ -305,7 +305,7 @@ class Op {
     (void)batch;
   }
   // Installs the workspace slot of the op's private scratch buffer (conv
-  // im2col stripes, the linear accumulator). Called by the buffer planner
+  // padded-sample stripes, the linear accumulator). Called by the buffer planner
   // after the walk; ops without scratch ignore it.
   virtual void set_scratch_slot(int slot) { (void)slot; }
   virtual std::string describe(const CompiledGraph::Impl& g) const = 0;
@@ -394,14 +394,13 @@ class QuantizeInputOp final : public Op {
 
 class ConvOp final : public Op {
  public:
-  ConvOp(std::string name, int in_edge, int acc_edge, ConvGeometry geom,
-         PackedIntWeights weights, bool direct)
+  ConvOp(std::string name, int in_edge, int acc_edge, const ConvGeometry& geom,
+         PackedIntWeights weights)
       : name_(std::move(name)),
         in_edge_(in_edge),
         acc_edge_(acc_edge),
-        geom_(geom),
-        weights_(std::move(weights)),
-        direct_(direct) {}
+        plan_(make_conv_pack_plan(geom)),
+        weights_(std::move(weights)) {}
 
   const char* kind() const override { return "conv2d"; }
   const PackedIntWeights& weights() const { return weights_; }
@@ -410,44 +409,48 @@ class ConvOp final : public Op {
     float_weights_.clear();
     float_weights_.shrink_to_fit();
   }
-  void set_scratch_slot(int slot) override { col_slot_ = slot; }
+  void set_scratch_slot(int slot) override { pad_slot_ = slot; }
 
-  bool direct() const { return direct_; }  // 1x1/s1/p0: input IS col
+  // A padded convolution copies each sample once into a pool_slot() stripe
+  // bordered with the edge's pad code (cache-line-rounded stripes); the
+  // GEMM then packs its B micro-panels straight from that copy through the
+  // plan. Unpadded convolutions read the edge sample itself.
+  bool needs_stripes() const { return plan_.needs_padding(); }
+  std::int64_t stripe_bytes() const {
+    return (plan_.padded_bytes() + 63) / 64 * 64;
+  }
 
   void prepare(CompiledGraph::Impl& g, std::int64_t batch) override {
     (void)batch;
-    if (!direct()) {
-      g.ws->bytes(col_slot_, pool_slot_count() * geom_.col_rows() *
-                                 geom_.col_cols());
+    if (needs_stripes()) {
+      g.ws->bytes(pad_slot_, pool_slot_count() * stripe_bytes());
     }
   }
 
   void run_int(CompiledGraph::Impl& g) override {
     struct Ctx {
-      const ConvGeometry* geom;
+      const ConvPackPlan* plan;
       const PackedIntWeights* w;
       const std::uint8_t* in;
-      std::uint8_t* col_base;  // pool_slot() stripes (null when direct)
+      std::uint8_t* stripes;  // pool_slot() stripes (null when unpadded)
       std::int32_t* acc;
-      std::int64_t in_stride, col_stride, acc_stride, cols;
+      std::int64_t in_stride, stripe_bytes, acc_stride;
       std::uint8_t pad_code;
       bool gemm_pooled;
     } ctx;
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    ctx.geom = &geom_;
+    ctx.plan = &plan_;
     ctx.w = &weights_;
     ctx.in = g.u8(in_edge_);
-    ctx.col_base =
-        direct() ? nullptr
-                 : g.ws->bytes(col_slot_, pool_slot_count() *
-                                              geom_.col_rows() *
-                                              geom_.col_cols());
+    ctx.stripes =
+        needs_stripes()
+            ? g.ws->bytes(pad_slot_, pool_slot_count() * stripe_bytes())
+            : nullptr;
     ctx.acc = g.i32(acc_edge_);
     ctx.in_stride = in.per_sample();
-    ctx.col_stride = geom_.col_rows() * geom_.col_cols();
+    ctx.stripe_bytes = stripe_bytes();
     ctx.acc_stride =
         g.edges[static_cast<std::size_t>(acc_edge_)].per_sample();
-    ctx.cols = geom_.col_cols();
     ctx.pad_code = static_cast<std::uint8_t>(in.zero_point);
     // Parallelism picks the outermost productive level: larger batches
     // split across samples; batches at or below the sample-loop's pooling
@@ -455,40 +458,33 @@ class ConvOp final : public Op {
     // latency-critical small requests still fan out. These GEMMs are the
     // canonical wide-N/small-M shape (m = out_channels, one MC tile; n =
     // spatial positions), so the kAuto split resolves to the column split —
-    // a batch-1 conv forward now uses the whole pool instead of one core.
+    // a batch-1 conv forward packs and multiplies on the whole pool.
     ctx.gemm_pooled = g.pooled && g.batch <= kParallelForSerialThreshold;
     for_each_sample(g.pooled, g.batch, ctx, +[](const Ctx& c, std::int64_t b) {
-      const std::uint8_t* col;
-      if (c.col_base == nullptr) {
-        col = c.in + b * c.in_stride;
-      } else {
-        std::uint8_t* stripe = c.col_base + pool_slot() * c.col_stride;
-        im2col_u8(*c.geom, c.in + b * c.in_stride, stripe, c.pad_code);
-        col = stripe;
+      const std::uint8_t* sample = c.in + b * c.in_stride;
+      if (c.stripes != nullptr) {
+        std::uint8_t* padded = c.stripes + pool_slot() * c.stripe_bytes;
+        pad_sample_u8(*c.plan, sample, padded, c.pad_code);
+        sample = padded;
       }
-      // acc_b(OC, P) = W_codes(OC, K) * col(K, P).
-      c.w->gemm(Trans::no, c.cols, col, c.cols, c.acc + b * c.acc_stride,
-                c.cols, c.gemm_pooled);
+      // acc_b(OC, P) = W_codes(OC, K) * im2col(sample)(K, P).
+      c.w->gemm_conv(*c.plan, sample, c.acc + b * c.acc_stride,
+                     c.gemm_pooled);
     });
   }
 
   void run_float(CompiledGraph::Impl& g) override {
     const EdgeData& in = g.edges[static_cast<std::size_t>(in_edge_)];
-    const std::int64_t k = geom_.col_rows();
-    const std::int64_t p = geom_.col_cols();
+    const std::int64_t k = plan_.k();
+    const std::int64_t p = plan_.n();
     const float* src = g.f32(in_edge_);
     float* acc = g.f32(acc_edge_);
     const std::vector<float>& w = float_weights(weights_, float_weights_);
     std::vector<float> col(static_cast<std::size_t>(k * p));
     for (std::int64_t b = 0; b < g.batch; ++b) {
-      const float* sample = src + b * in.per_sample();
-      const float* col_data = sample;
-      if (!direct()) {
-        im2col(geom_, sample, col.data());
-        col_data = col.data();
-      }
+      im2col(plan_.geom, src + b * in.per_sample(), col.data());
       gemm(Trans::no, Trans::no, weights_.rows(), p, k, 1.0f, w.data(), k,
-           col_data, p, 0.0f, acc + b * weights_.rows() * p, p);
+           col.data(), p, 0.0f, acc + b * weights_.rows() * p, p);
     }
   }
 
@@ -505,11 +501,10 @@ class ConvOp final : public Op {
   std::string name_;
   int in_edge_;
   int acc_edge_;
-  ConvGeometry geom_;
+  ConvPackPlan plan_;
   PackedIntWeights weights_;
   std::vector<float> float_weights_;
-  bool direct_;
-  int col_slot_ = -1;
+  int pad_slot_ = -1;
 };
 
 // ------------------------------------------------------- requantization --
@@ -1140,7 +1135,7 @@ class LinearOp final : public Op {
     // single output column, so there is nothing for a column split to carve;
     // the head matmul only fans out via its m = OUT row tiles).
     weights_.gemm(Trans::yes, g.batch, g.u8(in_edge_), in_f, acc, g.batch,
-                  g.pooled, &scratch_);
+                  g.pooled);
 
     g.run_output = Tensor::uninitialized({g.batch, out_f});
     float* logits = g.run_output.data();
@@ -1196,7 +1191,6 @@ class LinearOp final : public Op {
   std::vector<float> float_weights_;
   std::vector<float> bias_;
   int acc_slot_ = -1;
-  IntGemmScratch scratch_;
 };
 
 }  // namespace
@@ -1342,16 +1336,15 @@ class GraphBuilder {
 
     PackedIntWeights packed =
         make_packed(layer, instr, out_channels, geom.col_rows());
-    const bool direct =
-        instr.kernel == 1 && instr.stride == 1 && instr.pad == 0;
     const int acc = new_acc_edge(out_channels, geom.out_h(), geom.out_w());
 
     auto op = std::make_unique<ConvOp>(layer.name, in, acc, geom,
-                                       std::move(packed), direct);
+                                       std::move(packed));
     const ConvOp* raw = op.get();
     record_layer(layer.name, raw->weights());
-    add_op(std::move(op), {in}, {acc},
-           direct ? ScratchKind::kNone : ScratchKind::kByte);
+    const ScratchKind scratch =
+        raw->needs_stripes() ? ScratchKind::kByte : ScratchKind::kNone;
+    add_op(std::move(op), {in}, {acc}, scratch);
 
     pending_.active = true;
     pending_.main.acc_edge = acc;
@@ -1558,11 +1551,11 @@ class GraphBuilder {
   // Assigns every edge (and op scratch buffer) its workspace slot. Planned
   // mode colors the liveness intervals over the op order: an edge's slot
   // returns to its class free list after the edge's last consumer, and ops'
-  // private scratch (conv im2col, linear accumulator) lives only for its
-  // own op — so all convolutions share one im2col stripe. Outputs and
-  // scratch of op i never recycle a slot freed AT op i (an op must not
-  // write into a buffer it is still reading), which keeps planned and
-  // unplanned graphs bit-identical.
+  // private scratch (conv padded-sample stripes, linear accumulator) lives
+  // only for its own op — so all convolutions share one set of stripes.
+  // Outputs and scratch of op i never recycle a slot freed AT op i (an op
+  // must not write into a buffer it is still reading), which keeps planned
+  // and unplanned graphs bit-identical.
   void plan_slots() {
     const int n_ops = static_cast<int>(g_.ops.size());
     if (!g_.options.plan_buffers) {

@@ -263,70 +263,50 @@ PackedIntWeights::PackedIntWeights(const WeightSpans& spans, float step,
   }
 }
 
-void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
-                            const std::uint8_t* b, std::int64_t ldb,
-                            std::int32_t* c, std::int64_t ldc, bool pooled,
-                            IntGemmScratch* scratch,
-                            GemmSplit gemm_split) const {
-  // The serial entry points take no split (nothing to decompose); the
-  // parallel ones get the caller's split so wide-N layers fan out even when
-  // rows_ fits in one MC tile.
+void PackedIntWeights::run(std::int64_t n, const IntGemmB& b,
+                           std::int32_t* c, std::int64_t ldc, bool pooled,
+                           GemmSplit gemm_split, int split_ways) const {
+  const auto pass = [&](IntKernel kernel, const void* panels,
+                        std::int32_t alpha, bool accumulate) {
+    gemm_s8u8_packed(kernel, rows_, n, cols_, alpha, panels, b, accumulate, c,
+                     ldc, pooled, gemm_split, split_ways);
+  };
   switch (kernel_) {
     case WeightKernel::kBitSerial:
-      if (pooled) {
-        gemm_s8u8_lowbit_prepacked_parallel(
-            trans_b, rows_, n, cols_, /*alpha=*/1, lowbit_panel_data(), b,
-            ldb, /*accumulate=*/false, c, ldc, scratch, gemm_split);
-      } else {
-        gemm_s8u8_lowbit_prepacked(trans_b, rows_, n, cols_, /*alpha=*/1,
-                                   lowbit_panel_data(), b, ldb,
-                                   /*accumulate=*/false, c, ldc, scratch);
-      }
+      pass(IntKernel::kLowBit, lowbit_panel_data(), 1, false);
       return;
     case WeightKernel::kBitSerialWide:
-      if (pooled) {
-        gemm_s8u8_lowbit_wide_prepacked_parallel(
-            trans_b, rows_, n, cols_, /*alpha=*/1, lowbit_panel_data(), b,
-            ldb, /*accumulate=*/false, c, ldc, scratch, gemm_split);
-      } else {
-        gemm_s8u8_lowbit_wide_prepacked(trans_b, rows_, n, cols_,
-                                        /*alpha=*/1, lowbit_panel_data(), b,
-                                        ldb, /*accumulate=*/false, c, ldc,
-                                        scratch);
-      }
+      pass(IntKernel::kLowBitWide, lowbit_panel_data(), 1, false);
       return;
     case WeightKernel::kNibble:
-      if (pooled) {
-        gemm_s8u8_nibble_prepacked_parallel(
-            trans_b, rows_, n, cols_, /*alpha=*/1, nibble_panel_data(), b,
-            ldb, /*accumulate=*/false, c, ldc, scratch, gemm_split);
-      } else {
-        gemm_s8u8_nibble_prepacked(trans_b, rows_, n, cols_, /*alpha=*/1,
-                                   nibble_panel_data(), b, ldb,
-                                   /*accumulate=*/false, c, ldc, scratch);
-      }
+      pass(IntKernel::kNibble, nibble_panel_data(), 1, false);
       return;
     default:
       break;
   }
-  const auto run = [&](std::int32_t alpha, const std::int16_t* panels,
-                       bool accumulate) {
-    if (pooled) {
-      gemm_s8u8_prepacked_parallel(trans_b, rows_, n, cols_, alpha, panels,
-                                   b, ldb, accumulate, c, ldc, scratch,
-                                   gemm_split);
-    } else {
-      gemm_s8u8_prepacked(trans_b, rows_, n, cols_, alpha, panels, b, ldb,
-                          accumulate, c, ldc, scratch);
-    }
-  };
   if (!split()) {
-    run(/*alpha=*/1, s8u8_panel_data(), /*accumulate=*/false);
+    pass(IntKernel::kS8U8, s8u8_panel_data(), 1, false);
     return;
   }
   // code = 2*hi + lo: alpha-chained passes, both exact in int32.
-  run(/*alpha=*/2, s8u8_panel_data(), /*accumulate=*/false);
-  run(/*alpha=*/1, s8u8_low_panel_data(), /*accumulate=*/true);
+  pass(IntKernel::kS8U8, s8u8_panel_data(), 2, false);
+  pass(IntKernel::kS8U8, s8u8_low_panel_data(), 1, true);
+}
+
+void PackedIntWeights::gemm(Trans trans_b, std::int64_t n,
+                            const std::uint8_t* b, std::int64_t ldb,
+                            std::int32_t* c, std::int64_t ldc, bool pooled,
+                            GemmSplit gemm_split) const {
+  run(n, IntGemmB::dense(trans_b, b, ldb), c, ldc, pooled, gemm_split,
+      /*split_ways=*/0);
+}
+
+void PackedIntWeights::gemm_conv(const ConvPackPlan& plan,
+                                 const std::uint8_t* sample, std::int32_t* c,
+                                 bool pooled, GemmSplit gemm_split,
+                                 int split_ways) const {
+  run(plan.n(), IntGemmB::conv(plan, sample), c, plan.n(), pooled,
+      gemm_split, split_ways);
 }
 
 std::int64_t PackedIntWeights::storage_bits() const {

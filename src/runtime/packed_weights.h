@@ -37,6 +37,7 @@
 #include "nn/weight_source.h"
 #include "runtime/subbyte.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 
 namespace csq {
 namespace runtime {
@@ -197,8 +198,16 @@ class PackedIntWeights {
   // take the column split instead of degrading to serial.
   void gemm(Trans trans_b, std::int64_t n, const std::uint8_t* b,
             std::int64_t ldb, std::int32_t* c, std::int64_t ldc, bool pooled,
-            IntGemmScratch* scratch = nullptr,
             GemmSplit split = GemmSplit::kAuto) const;
+
+  // Implicit-GEMM convolution: C(rows, plan.n()) = plane-codes *
+  // im2col(sample), with every B micro-panel packed straight from `sample`
+  // (padded as the plan requires) through `plan` — the same accumulators as
+  // gemm() over the unfolded column matrix, which is never written. rows x
+  // plan.k() must be this layer's extents; C is dense (ldc = plan.n()).
+  void gemm_conv(const ConvPackPlan& plan, const std::uint8_t* sample,
+                 std::int32_t* c, bool pooled,
+                 GemmSplit split = GemmSplit::kAuto, int split_ways = 0) const;
 
   // Storage of the packed planes in bits (bits() per weight, doubled for
   // split layers, plus the scale).
@@ -209,6 +218,13 @@ class PackedIntWeights {
   // never trusted: a record that violates the kernel's exactness bound must
   // throw, not produce wrong logits. Requires max_abs_code_/split_/cols_ set.
   void check_kernel_eligibility() const;
+
+  // Runs C = plane-codes * b through the layer's kernel: one pass, or the
+  // alpha-chained hi/lo pair (alpha=2 overwrite, alpha=1 accumulate) for
+  // split layers — both exact in int32.
+  void run(std::int64_t n, const IntGemmB& b, std::int32_t* c,
+           std::int64_t ldc, bool pooled, GemmSplit gemm_split,
+           int split_ways) const;
 
   // Stored-plane code of element i: the hi/lo pair re-assembled for split
   // layers, the single plane otherwise (GEMM-accumulator units).

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 
-#if defined(__AVX2__)
+#include <cstring>
+
+#if defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
+#include "tensor/im2col.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -45,11 +48,12 @@ void apply_beta(std::int64_t m_begin, std::int64_t m_end, std::int64_t n,
 // ----------------------------------------------------- tile-grid split ----
 //
 // Task decomposition for the column-split (kCols) and 2-D-grid (kGrid)
-// pooled paths, shared by all three blocked drivers. The C tile grid is
+// pooled paths, shared by the float and integer drivers. The C tile grid is
 // carved into row_groups x col_stripes tasks: each task owns a disjoint
 // block of C (a contiguous run of MC row tiles x one NR-aligned column
 // stripe) and runs the full ascending pc depth loop itself, packing op(B)
-// for its stripe into a per-slot region of the shared packed-B scratch.
+// for its stripe itself (float: into a per-slot region of the shared
+// packed-B scratch; integer: one micro-panel at a time on its stack).
 //
 // Bit-identity argument (extends the row-split one):
 //  * Ownership: every C element belongs to exactly one (row tile, column
@@ -263,18 +267,21 @@ inline void update_c_tile(float* c, std::int64_t ldc, const float* acc,
   }
 }
 
-// One MC-tall row tile of C inside a (jc, pc) panel: packs its A panel and
-// sweeps the jr/ir micro-tile grid. `packed_b` is read-only shared state.
+// Elements of one MC-tall packed A panel (the per-task A stripe).
+inline std::int64_t a_stripe_elems(std::int64_t m, std::int64_t k) {
+  const std::int64_t rows = std::min(m, kGemmMC);
+  return (rows + kGemmMR - 1) / kGemmMR * kGemmMR * std::min(k, kGemmKC);
+}
+
+// One MC-tall row tile of C inside a (jc, pc) panel: packs its A panel into
+// `packed_a` (an a_stripe_elems stripe) and sweeps the jr/ir micro-tile
+// grid. `packed_b` is read-only shared state.
 void run_ic_tile(Trans trans_a, const float* a, std::int64_t lda,
                  std::int64_t ic, std::int64_t pc, std::int64_t jc,
                  std::int64_t m, std::int64_t kc, std::int64_t nc, float alpha,
                  float beta_eff, const float* packed_b, float* c,
-                 std::int64_t ldc, std::vector<float>& pack_a_storage) {
+                 std::int64_t ldc, float* packed_a) {
   const std::int64_t mc = std::min(kGemmMC, m - ic);
-  const std::int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-  ensure_size(pack_a_storage,
-              static_cast<std::size_t>(a_panels * kGemmMR * kc));
-  float* packed_a = pack_a_storage.data();
   pack_a_panel(trans_a, a, lda, ic, pc, mc, kc, packed_a);
 
   float acc[kGemmMR * kGemmNR];
@@ -292,11 +299,12 @@ void run_ic_tile(Trans trans_a, const float* a, std::int64_t lda,
 }
 
 // Column-split / 2-D-grid pooled driver (float). Each task owns a disjoint
-// (row group x column stripe) block of C, packs op(B) for its stripe into a
-// pool_slot()-indexed region of the shared packed-B scratch (the pool runs
-// one top-level task graph at a time, so slots are never shared), packs A
-// into its thread-local scratch, and runs the ascending pc loop itself —
-// see the TileGrid comment for the bit-identity argument.
+// (row group x column stripe) block of C, packs op(B) for its stripe and A
+// for each of its row tiles into pool_slot()-indexed stripes of the shared
+// scratch (the pool runs one top-level task graph at a time, so slots are
+// never shared; the stripes are sized here, before the fan-out), and runs
+// the ascending pc loop itself — see the TileGrid comment for the
+// bit-identity argument.
 void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
                        std::int64_t n, std::int64_t k, float alpha,
                        const float* a, std::int64_t lda, const float* b,
@@ -305,8 +313,11 @@ void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
                        const TileGrid& grid) {
   const std::int64_t kc_max = std::min(k, kGemmKC);
   const std::int64_t stripe_elems = grid.panels_per_stripe * kGemmNR * kc_max;
+  const std::int64_t a_stripe = a_stripe_elems(m, k);
   ensure_size(shared.packed_b,
               static_cast<std::size_t>(pool_slot_count() * stripe_elems));
+  ensure_size(shared.packed_a,
+              static_cast<std::size_t>(pool_slot_count() * a_stripe));
 
   struct GridContext {
     Trans trans_a, trans_b;
@@ -318,7 +329,8 @@ void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
     float* c;
     std::int64_t ldc;
     float* packed_b_base;
-    std::int64_t stripe_elems, ic_tiles;
+    float* packed_a_base;
+    std::int64_t stripe_elems, a_stripe, ic_tiles;
     TileGrid grid;
   } ctx;
   ctx.trans_a = trans_a;
@@ -335,12 +347,15 @@ void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
   ctx.c = c;
   ctx.ldc = ldc;
   ctx.packed_b_base = shared.packed_b.data();
+  ctx.packed_a_base = shared.packed_a.data();
   ctx.stripe_elems = stripe_elems;
+  ctx.a_stripe = a_stripe;
   ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
   ctx.grid = grid;
   parallel_for_chunked(
       0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
         float* stripe = ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
+        float* a_stripe = ctx.packed_a_base + pool_slot() * ctx.a_stripe;
         for (std::int64_t t = begin; t < end; ++t) {
           const std::int64_t g = t / ctx.grid.col_stripes;
           const std::int64_t s = t % ctx.grid.col_stripes;
@@ -357,7 +372,7 @@ void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
             for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
               run_ic_tile(ctx.trans_a, ctx.a, ctx.lda, tt * kGemmMC, pc, jc,
                           ctx.m, kc, nc, ctx.alpha, beta_eff, stripe, ctx.c,
-                          ctx.ldc, local_scratch().packed_a);
+                          ctx.ldc, a_stripe);
             }
           }
         }
@@ -367,10 +382,11 @@ void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
 // Shared driver for the serial and pooled paths. The jc/pc loop nest runs on
 // the calling thread (B is packed once per (jc, pc) and reused across the
 // whole ic sweep); the ic tiles either run in order (serial) or are
-// distributed across the pool. Both orders compute each C element with an
-// identical floating-point operation sequence, so results are bit-identical.
-// The kCols/kGrid splits route to gemm_blocked_grid instead — same
-// operation sequence per element, different task decomposition.
+// distributed across the pool, each packing A into its pool_slot() stripe.
+// Both orders compute each C element with an identical floating-point
+// operation sequence, so results are bit-identical. The kCols/kGrid splits
+// route to gemm_blocked_grid instead — same operation sequence per element,
+// different task decomposition.
 void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
                   std::int64_t k, float alpha, const float* a,
                   std::int64_t lda, const float* b, std::int64_t ldb,
@@ -399,25 +415,31 @@ void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
     }
   }
 
+  const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
+  const bool fan_out = pooled && ic_tiles > 1;
+  const std::int64_t a_stripe = a_stripe_elems(m, k);
+  ensure_size(shared.packed_a,
+              static_cast<std::size_t>((fan_out ? pool_slot_count() : 1) *
+                                       a_stripe));
+  ensure_size(shared.packed_b,
+              static_cast<std::size_t>(
+                  (std::min(n, kGemmNC) + kGemmNR - 1) / kGemmNR * kGemmNR *
+                  std::min(k, kGemmKC)));
   for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
     const std::int64_t nc = std::min(kGemmNC, n - jc);
-    const std::int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
       const std::int64_t kc = std::min(kGemmKC, k - pc);
-      ensure_size(shared.packed_b,
-                  static_cast<std::size_t>(b_panels * kGemmNR * kc));
       pack_b_panel(trans_b, b, ldb, pc, jc, kc, nc, shared.packed_b.data());
       const float beta_eff = pc == 0 ? beta : 1.0f;
 
-      const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-      if (!pooled || ic_tiles <= 1) {
+      if (!fan_out) {
         for (std::int64_t t = 0; t < ic_tiles; ++t) {
           run_ic_tile(trans_a, a, lda, t * kGemmMC, pc, jc, m, kc, nc, alpha,
                       beta_eff, shared.packed_b.data(), c, ldc,
-                      shared.packed_a);
+                      shared.packed_a.data());
         }
       } else {
-        // Each worker packs A into its own thread-local scratch; every C
+        // Each worker packs A into its own pool_slot() stripe; every C
         // element belongs to exactly one ic tile, so there are no write
         // conflicts and no order dependence.
         struct TileContext {
@@ -426,6 +448,8 @@ void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
           std::int64_t lda, pc, jc, m, kc, nc;
           float alpha, beta_eff;
           const float* packed_b;
+          float* packed_a_base;
+          std::int64_t a_stripe;
           float* c;
           std::int64_t ldc;
         } ctx;
@@ -440,17 +464,19 @@ void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
         ctx.alpha = alpha;
         ctx.beta_eff = beta_eff;
         ctx.packed_b = shared.packed_b.data();
+        ctx.packed_a_base = shared.packed_a.data();
+        ctx.a_stripe = a_stripe;
         ctx.c = c;
         ctx.ldc = ldc;
-        // Single-reference capture keeps the closure inside std::function's
-        // small-buffer optimization: no allocation per dispatch.
         parallel_for_chunked(
             0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
+              float* a_stripe =
+                  ctx.packed_a_base + pool_slot() * ctx.a_stripe;
               for (std::int64_t t = begin; t < end; ++t) {
                 run_ic_tile(ctx.trans_a, ctx.a, ctx.lda, t * kGemmMC, ctx.pc,
                             ctx.jc, ctx.m, ctx.kc, ctx.nc, ctx.alpha,
                             ctx.beta_eff, ctx.packed_b, ctx.c, ctx.ldc,
-                            local_scratch().packed_a);
+                            a_stripe);
               }
             });
       }
@@ -481,76 +507,48 @@ void check_int_extents(Trans trans_b, std::int64_t m, std::int64_t n,
       << " would overflow int32 accumulation";
 }
 
-// ------------------------------------------------------ integer kernel ----
+// ------------------------------------------------------ integer kernels ---
 //
-// Same blocking scheme as the float path (NC/KC/MC panels, MR x NR
-// micro-tiles, MC-row-tile pooled split). Operands are widened to int16
-// while packing, laid out in K-PAIRS: consecutive depth steps 2p and 2p+1
-// sit adjacent per row/column, so the AVX2 micro-kernel fuses them with one
-// vpmaddwd (int16 pair dot -> int32, no saturation possible at |a| <= 255,
-// |b| <= 255) — the integer analogue of the float kernel's FMA. Odd kc
-// tails are zero-padded (exact).
+// Same depth blocking as the float path (KC panels, MR x NR micro-tiles),
+// but A is always prepacked for the whole m extent and B is packed one
+// KC x NR micro-panel at a time, on the consuming task's stack, right before
+// every row panel of the task runs against it — the panel is L1-hot and no
+// packed-B scratch exists. A call is a grid of (row tile range x column
+// range) tasks; the serial path is the one-task grid.
+//
+// Widened s8u8 operands are int16 in K-PAIRS: consecutive depth steps 2p
+// and 2p+1 sit adjacent per row/column, so the AVX2 micro-kernel fuses them
+// with one vpmaddwd (int16 pair dot -> int32, no saturation possible at
+// |a| <= 255, |b| <= 255) — the integer analogue of the float kernel's FMA.
+// Odd kc tails are zero-padded (exact).
 //
 // A~ pair layout: panels MR-tall; entry (p, i) at [(p/2)*MR + i]*2 + p%2.
-// B~ pair layout: panels NR-wide; entry (p, j) at [(p/2)*NR + j]*2 + p%2.
+// B~ pair layout: one NR-wide panel; entry (p, j) at [(p/2)*NR + j]*2 + p%2.
 
 IntGemmScratch& local_int_scratch() {
   thread_local IntGemmScratch scratch;
   return scratch;
 }
 
-void ensure_size_s16(std::vector<std::int16_t>& buffer, std::size_t count) {
-  if (buffer.size() < count) buffer.resize(count);
-}
-
 // Depth extent after pairing (elements per packed row/column).
 inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
 
-// A is always (m x k) row-major int8 (the weight codes); panels MR-tall.
-void pack_a_s8(const std::int8_t* a, std::int64_t lda, std::int64_t ic,
-               std::int64_t pc, std::int64_t mc, std::int64_t kc,
-               std::int16_t* dst) {
+// A is always (m x k) row-major int8 (the weight codes); one pc block of
+// MR-tall panels over all m rows.
+void pack_a_s8(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+               std::int64_t m, std::int64_t kc, std::int16_t* dst) {
   const std::int64_t kcp = paired_kc(kc);
-  for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-    const std::int64_t rows = std::min(kGemmMR, mc - r);
+  for (std::int64_t r = 0; r < m; r += kGemmMR) {
+    const std::int64_t rows = std::min(kGemmMR, m - r);
     std::fill(dst, dst + kGemmMR * kcp, std::int16_t{0});
     for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int8_t* src = a + (ic + r + i) * lda + pc;
+      const std::int8_t* src = a + (r + i) * lda + pc;
       for (std::int64_t p = 0; p < kc; ++p) {
         dst[((p / 2) * kGemmMR + i) * 2 + (p & 1)] =
             static_cast<std::int16_t>(src[p]);
       }
     }
     dst += kGemmMR * kcp;
-  }
-}
-
-// op(B) is (k x n) uint8 activation codes; panels NR-wide, zero-padded.
-void pack_b_u8(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-               std::int64_t pc, std::int64_t jc, std::int64_t kc,
-               std::int64_t nc, std::int16_t* dst) {
-  const std::int64_t kcp = paired_kc(kc);
-  for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-    const std::int64_t cols = std::min(kGemmNR, nc - s);
-    std::fill(dst, dst + kGemmNR * kcp, std::int16_t{0});
-    if (trans == Trans::no) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-        std::int16_t* d = dst + (p / 2) * kGemmNR * 2 + (p & 1);
-        for (std::int64_t j = 0; j < cols; ++j) {
-          d[j * 2] = static_cast<std::int16_t>(src[j]);
-        }
-      }
-    } else {
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          dst[((p / 2) * kGemmNR + j) * 2 + (p & 1)] =
-              static_cast<std::int16_t>(src[p]);
-        }
-      }
-    }
-    dst += kGemmNR * kcp;
   }
 }
 
@@ -650,230 +648,10 @@ inline void update_c_tile_int(std::int32_t* c, std::int64_t ldc,
   }
 }
 
-void run_ic_tile_int(std::int64_t ic, std::int64_t jc, std::int64_t m,
-                     std::int64_t kc, std::int64_t nc, std::int32_t alpha,
-                     bool add_into_c, const std::int16_t* packed_a,
-                     const std::int16_t* packed_b, std::int32_t* c,
-                     std::int64_t ldc) {
-  const std::int64_t mc = std::min(kGemmMC, m - ic);
-  std::int32_t acc[kGemmMR * kGemmNR];
-  const std::int64_t kcp = paired_kc(kc);
-  for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
-    const std::int64_t n_sub = std::min(kGemmNR, nc - jr);
-    const std::int16_t* pb = packed_b + (jr / kGemmNR) * kGemmNR * kcp;
-    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
-      const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
-      const std::int16_t* pa = packed_a + (ir / kGemmMR) * kGemmMR * kcp;
-      micro_kernel_int(pa, pb, kc, acc);
-      update_c_tile_int(c + (ic + ir) * ldc + jc + jr, ldc, acc, m_sub, n_sub,
-                        alpha, add_into_c);
-    }
-  }
-}
-
 // Row-panel stride of one pc block in the prepacked-A layout: every MR-tall
 // panel of the full m extent, consecutively.
 inline std::int64_t packed_a_block_size(std::int64_t m, std::int64_t kc) {
   return ((m + kGemmMR - 1) / kGemmMR) * kGemmMR * paired_kc(kc);
-}
-
-// Column-split / 2-D-grid pooled driver (widened s8u8). Mirrors
-// gemm_blocked_grid; the prepacked-A block offset depends only on pc (never
-// on jc or ic), so every task recomputes it locally by accumulating
-// packed_a_block_size over its own ascending pc loop — identical offsets to
-// the serial sweep. Integer accumulation is associative, so the ownership
-// argument alone gives bit-identity.
-void gemm_s8u8_blocked_grid(Trans trans_b, std::int64_t m, std::int64_t n,
-                            std::int64_t k, std::int32_t alpha,
-                            const std::int8_t* a, std::int64_t lda,
-                            const std::int16_t* prepacked_a,
-                            const std::uint8_t* b, std::int64_t ldb,
-                            bool accumulate, std::int32_t* c, std::int64_t ldc,
-                            IntGemmScratch& shared, const TileGrid& grid) {
-  const std::int64_t kcp_max = paired_kc(std::min(k, kGemmKC));
-  const std::int64_t stripe_elems =
-      grid.panels_per_stripe * kGemmNR * kcp_max;
-  ensure_size_s16(shared.packed_b,
-                  static_cast<std::size_t>(pool_slot_count() * stripe_elems));
-
-  struct GridContext {
-    Trans trans_b;
-    const std::int8_t* a;
-    std::int64_t lda;
-    const std::int16_t* prepacked_a;
-    const std::uint8_t* b;
-    std::int64_t ldb, m, n, k;
-    std::int32_t alpha;
-    bool accumulate;
-    std::int32_t* c;
-    std::int64_t ldc;
-    std::int16_t* packed_b_base;
-    std::int64_t stripe_elems, ic_tiles;
-    TileGrid grid;
-  } ctx;
-  ctx.trans_b = trans_b;
-  ctx.a = a;
-  ctx.lda = lda;
-  ctx.prepacked_a = prepacked_a;
-  ctx.b = b;
-  ctx.ldb = ldb;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = k;
-  ctx.alpha = alpha;
-  ctx.accumulate = accumulate;
-  ctx.c = c;
-  ctx.ldc = ldc;
-  ctx.packed_b_base = shared.packed_b.data();
-  ctx.stripe_elems = stripe_elems;
-  ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  ctx.grid = grid;
-  parallel_for_chunked(
-      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        std::int16_t* stripe =
-            ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t g = t / ctx.grid.col_stripes;
-          const std::int64_t s = t % ctx.grid.col_stripes;
-          const std::int64_t jc = s * ctx.grid.panels_per_stripe * kGemmNR;
-          const std::int64_t nc =
-              std::min(ctx.grid.panels_per_stripe * kGemmNR, ctx.n - jc);
-          const std::int64_t tile_begin = g * ctx.grid.tiles_per_group;
-          const std::int64_t tile_end = std::min(
-              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          std::int64_t a_block_offset = 0;
-          for (std::int64_t pc = 0; pc < ctx.k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, ctx.k - pc);
-            const std::int64_t kcp = paired_kc(kc);
-            pack_b_u8(ctx.trans_b, ctx.b, ctx.ldb, pc, jc, kc, nc, stripe);
-            const bool add_into_c = ctx.accumulate || pc != 0;
-            for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
-              const std::int64_t ic = tt * kGemmMC;
-              const std::int16_t* pa;
-              if (ctx.prepacked_a != nullptr) {
-                pa = ctx.prepacked_a + a_block_offset +
-                     (ic / kGemmMR) * kGemmMR * kcp;
-              } else {
-                const std::int64_t mc = std::min(kGemmMC, ctx.m - ic);
-                const std::int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-                std::vector<std::int16_t>& storage =
-                    local_int_scratch().packed_a;
-                ensure_size_s16(
-                    storage, static_cast<std::size_t>(a_panels * kGemmMR * kcp));
-                pack_a_s8(ctx.a, ctx.lda, ic, pc, mc, kc, storage.data());
-                pa = storage.data();
-              }
-              run_ic_tile_int(ic, jc, ctx.m, kc, nc, ctx.alpha, add_into_c,
-                              pa, stripe, ctx.c, ctx.ldc);
-            }
-            a_block_offset += packed_a_block_size(ctx.m, kc);
-          }
-        }
-      });
-}
-
-// `prepacked_a` may be null (A packed per (ic, pc) tile into scratch — the
-// one-shot path) or point at a gemm_s8u8_pack_a layout (weights packed once
-// at graph-lowering time).
-void gemm_s8u8_blocked(Trans trans_b, std::int64_t m, std::int64_t n,
-                       std::int64_t k, std::int32_t alpha,
-                       const std::int8_t* a, std::int64_t lda,
-                       const std::int16_t* prepacked_a, const std::uint8_t* b,
-                       std::int64_t ldb, bool accumulate, std::int32_t* c,
-                       std::int64_t ldc, IntGemmScratch* scratch,
-                       bool pooled, GemmSplit split = GemmSplit::kRows,
-                       int split_ways = 0) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0 || k == 0) {
-    if (!accumulate) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
-      }
-    }
-    return;
-  }
-  IntGemmScratch& shared = scratch != nullptr ? *scratch : local_int_scratch();
-
-  if (pooled) {
-    const int ways = resolve_split_ways(split_ways);
-    if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
-    if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, m, n, ways);
-      if (grid.tasks() > 1) {
-        gemm_s8u8_blocked_grid(trans_b, m, n, k, alpha, a, lda, prepacked_a,
-                               b, ldb, accumulate, c, ldc, shared, grid);
-        return;
-      }
-    }
-  }
-
-  for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const std::int64_t nc = std::min(kGemmNC, n - jc);
-    const std::int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
-    std::int64_t a_block_offset = 0;
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      const std::int64_t kcp = paired_kc(kc);
-      ensure_size_s16(shared.packed_b,
-                      static_cast<std::size_t>(b_panels * kGemmNR * kcp));
-      pack_b_u8(trans_b, b, ldb, pc, jc, kc, nc, shared.packed_b.data());
-      const bool add_into_c = accumulate || pc != 0;
-
-      const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-      const auto tile_a = [&](std::int64_t ic,
-                              std::vector<std::int16_t>& pack_storage)
-          -> const std::int16_t* {
-        if (prepacked_a != nullptr) {
-          return prepacked_a + a_block_offset + (ic / kGemmMR) * kGemmMR * kcp;
-        }
-        const std::int64_t mc = std::min(kGemmMC, m - ic);
-        const std::int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-        ensure_size_s16(pack_storage,
-                        static_cast<std::size_t>(a_panels * kGemmMR * kcp));
-        pack_a_s8(a, lda, ic, pc, mc, kc, pack_storage.data());
-        return pack_storage.data();
-      };
-
-      if (!pooled || ic_tiles <= 1) {
-        for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_ic_tile_int(t * kGemmMC, jc, m, kc, nc, alpha, add_into_c,
-                          tile_a(t * kGemmMC, shared.packed_a),
-                          shared.packed_b.data(), c, ldc);
-        }
-      } else {
-        struct TileContext {
-          const decltype(tile_a)* pick_a;
-          std::int64_t jc, m, kc, nc;
-          std::int32_t alpha;
-          bool add_into_c;
-          const std::int16_t* packed_b;
-          std::int32_t* c;
-          std::int64_t ldc;
-        } ctx;
-        ctx.pick_a = &tile_a;
-        ctx.jc = jc;
-        ctx.m = m;
-        ctx.kc = kc;
-        ctx.nc = nc;
-        ctx.alpha = alpha;
-        ctx.add_into_c = add_into_c;
-        ctx.packed_b = shared.packed_b.data();
-        ctx.c = c;
-        ctx.ldc = ldc;
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_ic_tile_int(t * kGemmMC, ctx.jc, ctx.m, ctx.kc, ctx.nc,
-                                ctx.alpha, ctx.add_into_c,
-                                (*ctx.pick_a)(t * kGemmMC,
-                                              local_int_scratch().packed_a),
-                                ctx.packed_b, ctx.c, ctx.ldc);
-              }
-            });
-      }
-      a_block_offset += packed_a_block_size(m, kc);
-    }
-  }
 }
 
 // ----------------------------------------------------- sub-byte kernels ---
@@ -890,28 +668,21 @@ void gemm_s8u8_blocked(Trans trans_b, std::int64_t m, std::int64_t n,
 // A~ nibble layout: same quad structure, two codes per byte; entry (p, i)
 //   lives in byte [(p/4)*MR + i]*2 + (p%4)/2, low nibble for even p, high
 //   for odd; codes are stored as their low 4 bits (signed range [-8, 7]).
-// B~ quad layout: panels NR-wide; entry (p, j) at [(p/4)*NR + j]*4 + p%4
+// B~ quad layout: one NR-wide panel; entry (p, j) at [(p/4)*NR + j]*4 + p%4
 //   (one uint8 per activation code — half the widened int16 panel traffic).
-
-enum class QuadKernel { kLowBit, kLowBitWide, kNibble };
 
 inline std::int64_t quad_kc(std::int64_t kc) {
   return (kc + 3) & ~std::int64_t{3};
 }
 
-void ensure_size_u8(std::vector<std::uint8_t>& buffer, std::size_t count) {
-  if (buffer.size() < count) buffer.resize(count);
-}
-
-void pack_a_s8_quad(const std::int8_t* a, std::int64_t lda, std::int64_t ic,
-                    std::int64_t pc, std::int64_t mc, std::int64_t kc,
-                    std::int8_t* dst) {
+void pack_a_s8_quad(const std::int8_t* a, std::int64_t lda, std::int64_t pc,
+                    std::int64_t m, std::int64_t kc, std::int8_t* dst) {
   const std::int64_t kcq = quad_kc(kc);
-  for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-    const std::int64_t rows = std::min(kGemmMR, mc - r);
+  for (std::int64_t r = 0; r < m; r += kGemmMR) {
+    const std::int64_t rows = std::min(kGemmMR, m - r);
     std::fill(dst, dst + kGemmMR * kcq, std::int8_t{0});
     for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int8_t* src = a + (ic + r + i) * lda + pc;
+      const std::int8_t* src = a + (r + i) * lda + pc;
       for (std::int64_t p = 0; p < kc; ++p) {
         dst[((p / 4) * kGemmMR + i) * 4 + (p & 3)] = src[p];
       }
@@ -921,14 +692,14 @@ void pack_a_s8_quad(const std::int8_t* a, std::int64_t lda, std::int64_t ic,
 }
 
 void pack_a_nibble_quad(const std::int8_t* a, std::int64_t lda,
-                        std::int64_t ic, std::int64_t pc, std::int64_t mc,
-                        std::int64_t kc, std::uint8_t* dst) {
+                        std::int64_t pc, std::int64_t m, std::int64_t kc,
+                        std::uint8_t* dst) {
   const std::int64_t kcq = quad_kc(kc);
-  for (std::int64_t r = 0; r < mc; r += kGemmMR) {
-    const std::int64_t rows = std::min(kGemmMR, mc - r);
+  for (std::int64_t r = 0; r < m; r += kGemmMR) {
+    const std::int64_t rows = std::min(kGemmMR, m - r);
     std::fill(dst, dst + kGemmMR * kcq / 2, std::uint8_t{0});
     for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int8_t* src = a + (ic + r + i) * lda + pc;
+      const std::int8_t* src = a + (r + i) * lda + pc;
       for (std::int64_t p = 0; p < kc; ++p) {
         const std::uint8_t nib = static_cast<std::uint8_t>(src[p]) & 0x0F;
         std::uint8_t& byte =
@@ -938,31 +709,6 @@ void pack_a_nibble_quad(const std::int8_t* a, std::int64_t lda,
       }
     }
     dst += kGemmMR * kcq / 2;
-  }
-}
-
-void pack_b_u8_quad(Trans trans, const std::uint8_t* b, std::int64_t ldb,
-                    std::int64_t pc, std::int64_t jc, std::int64_t kc,
-                    std::int64_t nc, std::uint8_t* dst) {
-  const std::int64_t kcq = quad_kc(kc);
-  for (std::int64_t s = 0; s < nc; s += kGemmNR) {
-    const std::int64_t cols = std::min(kGemmNR, nc - s);
-    std::fill(dst, dst + kGemmNR * kcq, std::uint8_t{0});
-    if (trans == Trans::no) {
-      for (std::int64_t p = 0; p < kc; ++p) {
-        const std::uint8_t* src = b + (pc + p) * ldb + jc + s;
-        std::uint8_t* d = dst + (p / 4) * kGemmNR * 4 + (p & 3);
-        for (std::int64_t j = 0; j < cols; ++j) d[j * 4] = src[j];
-      }
-    } else {
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const std::uint8_t* src = b + (jc + s + j) * ldb + pc;
-        for (std::int64_t p = 0; p < kc; ++p) {
-          dst[((p / 4) * kGemmNR + j) * 4 + (p & 3)] = src[p];
-        }
-      }
-    }
-    dst += kGemmNR * kcq;
   }
 }
 
@@ -1219,225 +965,294 @@ inline void micro_kernel_nibble(const std::uint8_t* pa, const std::uint8_t* pb,
 
 #endif  // CSQ_GEMM_AVX2_INT_KERNEL
 
-// Row-panel stride of one pc block in the prepacked quad layouts, in BYTES
-// (the nibble layout halves it; kcq is a multiple of 4 so the division is
-// exact).
-inline std::int64_t quad_packed_a_block_bytes(QuadKernel kernel,
-                                              std::int64_t m,
-                                              std::int64_t kc) {
-  const std::int64_t full =
-      ((m + kGemmMR - 1) / kGemmMR) * kGemmMR * quad_kc(kc);
-  return kernel == QuadKernel::kNibble ? full / 2 : full;
-}
-
-void run_ic_tile_quad(QuadKernel kernel, std::int64_t ic, std::int64_t jc,
-                      std::int64_t m, std::int64_t kc, std::int64_t nc,
-                      std::int32_t alpha, bool add_into_c,
-                      const std::uint8_t* packed_a_block,
-                      const std::uint8_t* packed_b, std::int32_t* c,
-                      std::int64_t ldc) {
-  const std::int64_t mc = std::min(kGemmMC, m - ic);
-  const std::int64_t kcq = quad_kc(kc);
-  const std::int64_t panel_bytes =
-      kernel == QuadKernel::kNibble ? kGemmMR * kcq / 2 : kGemmMR * kcq;
-  std::int32_t acc[kGemmMR * kGemmNR];
-  for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
-    const std::int64_t n_sub = std::min(kGemmNR, nc - jr);
-    const std::uint8_t* pb = packed_b + (jr / kGemmNR) * kGemmNR * kcq;
-    for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
-      const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
-      const std::uint8_t* pa =
-          packed_a_block + ((ic + ir) / kGemmMR) * panel_bytes;
-      switch (kernel) {
-        case QuadKernel::kLowBit:
-          micro_kernel_lowbit(reinterpret_cast<const std::int8_t*>(pa), pb,
-                              kc, acc);
-          break;
-        case QuadKernel::kLowBitWide:
-          micro_kernel_lowbit_wide(reinterpret_cast<const std::int8_t*>(pa),
-                                   pb, kc, acc);
-          break;
-        case QuadKernel::kNibble:
-          micro_kernel_nibble(pa, pb, kc, acc);
-          break;
-      }
-      update_c_tile_int(c + (ic + ir) * ldc + jc + jr, ldc, acc, m_sub, n_sub,
-                        alpha, add_into_c);
-    }
+// Bytes of one MR-tall prepacked A panel over a kc-deep block.
+inline std::int64_t a_panel_bytes(IntKernel kernel, std::int64_t kc) {
+  switch (kernel) {
+    case IntKernel::kS8U8:
+      return kGemmMR * paired_kc(kc) *
+             static_cast<std::int64_t>(sizeof(std::int16_t));
+    case IntKernel::kNibble:
+      return kGemmMR * quad_kc(kc) / 2;
+    default:
+      return kGemmMR * quad_kc(kc);
   }
 }
 
-// Column-split / 2-D-grid pooled driver (quad-layout kernels). A is always
-// prepacked; the per-pc block offset is a pure function of (kernel, m, pc),
-// so each task accumulates it locally over its own ascending pc loop.
-void gemm_s8u8_quad_blocked_grid(QuadKernel kernel, Trans trans_b,
-                                 std::int64_t m, std::int64_t n,
-                                 std::int64_t k, std::int32_t alpha,
-                                 const std::uint8_t* prepacked_a,
-                                 const std::uint8_t* b, std::int64_t ldb,
-                                 bool accumulate, std::int32_t* c,
-                                 std::int64_t ldc, IntGemmScratch& shared,
-                                 const TileGrid& grid) {
-  const std::int64_t kcq_max = quad_kc(std::min(k, kGemmKC));
-  const std::int64_t stripe_elems =
-      grid.panels_per_stripe * kGemmNR * kcq_max;
-  ensure_size_u8(shared.packed_b_quad,
-                 static_cast<std::size_t>(pool_slot_count() * stripe_elems));
-
-  struct GridContext {
-    QuadKernel kernel;
-    Trans trans_b;
-    const std::uint8_t* prepacked_a;
-    const std::uint8_t* b;
-    std::int64_t ldb, m, n, k;
-    std::int32_t alpha;
-    bool accumulate;
-    std::int32_t* c;
-    std::int64_t ldc;
-    std::uint8_t* packed_b_base;
-    std::int64_t stripe_elems, ic_tiles;
-    TileGrid grid;
-  } ctx;
-  ctx.kernel = kernel;
-  ctx.trans_b = trans_b;
-  ctx.prepacked_a = prepacked_a;
-  ctx.b = b;
-  ctx.ldb = ldb;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = k;
-  ctx.alpha = alpha;
-  ctx.accumulate = accumulate;
-  ctx.c = c;
-  ctx.ldc = ldc;
-  ctx.packed_b_base = shared.packed_b_quad.data();
-  ctx.stripe_elems = stripe_elems;
-  ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  ctx.grid = grid;
-  parallel_for_chunked(
-      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        std::uint8_t* stripe =
-            ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t g = t / ctx.grid.col_stripes;
-          const std::int64_t s = t % ctx.grid.col_stripes;
-          const std::int64_t jc = s * ctx.grid.panels_per_stripe * kGemmNR;
-          const std::int64_t nc =
-              std::min(ctx.grid.panels_per_stripe * kGemmNR, ctx.n - jc);
-          const std::int64_t tile_begin = g * ctx.grid.tiles_per_group;
-          const std::int64_t tile_end = std::min(
-              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          std::int64_t a_block_offset = 0;
-          for (std::int64_t pc = 0; pc < ctx.k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, ctx.k - pc);
-            pack_b_u8_quad(ctx.trans_b, ctx.b, ctx.ldb, pc, jc, kc, nc,
-                           stripe);
-            const bool add_into_c = ctx.accumulate || pc != 0;
-            const std::uint8_t* a_block = ctx.prepacked_a + a_block_offset;
-            for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
-              run_ic_tile_quad(ctx.kernel, tt * kGemmMC, jc, ctx.m, kc, nc,
-                               ctx.alpha, add_into_c, a_block, stripe, ctx.c,
-                               ctx.ldc);
-            }
-            a_block_offset +=
-                quad_packed_a_block_bytes(ctx.kernel, ctx.m, kc);
-          }
-        }
-      });
+// Bytes of one pc block of prepacked A: every MR-tall panel of the m extent.
+inline std::int64_t a_block_bytes(IntKernel kernel, std::int64_t m,
+                                  std::int64_t kc) {
+  return (m + kGemmMR - 1) / kGemmMR * a_panel_bytes(kernel, kc);
 }
 
-// Shared blocked driver for the quad-layout kernels. Identical NC/KC/MC
-// split and MC-row-tile pooled distribution as gemm_s8u8_blocked, so the
-// serial/pooled bit-identity argument carries over verbatim. A is always
-// prepacked (weights are static at serving time).
-void gemm_s8u8_quad_blocked(QuadKernel kernel, Trans trans_b, std::int64_t m,
-                            std::int64_t n, std::int64_t k, std::int32_t alpha,
-                            const std::uint8_t* prepacked_a,
-                            const std::uint8_t* b, std::int64_t ldb,
-                            bool accumulate, std::int32_t* c, std::int64_t ldc,
-                            IntGemmScratch* scratch, bool pooled,
-                            GemmSplit split = GemmSplit::kRows,
-                            int split_ways = 0) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0 || k == 0) {
-    if (!accumulate) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
+inline void run_micro_kernel(IntKernel kernel, const std::uint8_t* pa,
+                             const std::int16_t* pb, std::int64_t kc,
+                             std::int32_t* acc) {
+  const auto* pb_quad = reinterpret_cast<const std::uint8_t*>(pb);
+  switch (kernel) {
+    case IntKernel::kS8U8:
+      micro_kernel_int(reinterpret_cast<const std::int16_t*>(pa), pb, kc,
+                       acc);
+      break;
+    case IntKernel::kLowBit:
+      micro_kernel_lowbit(reinterpret_cast<const std::int8_t*>(pa), pb_quad,
+                          kc, acc);
+      break;
+    case IntKernel::kLowBitWide:
+      micro_kernel_lowbit_wide(reinterpret_cast<const std::int8_t*>(pa),
+                               pb_quad, kc, acc);
+      break;
+    case IntKernel::kNibble:
+      micro_kernel_nibble(pa, pb_quad, kc, acc);
+      break;
+  }
+}
+
+// ------------------------------------------------------------ B sources ---
+//
+// A B source hands the packers one NR-column micro-panel at a time:
+// panel(j0) returns a reader whose row(p) is the 8 bytes op(B)[p, j0..j0+7]
+// as a little-endian word, zero past column n. Both packers consume only
+// this interface, so the dense and the implicit-conv operand share every
+// interleave below.
+
+static_assert(kGemmNR == 8, "B panel rows are read as one 8-byte word");
+
+#if defined(__SSE2__) && defined(__x86_64__)
+#define CSQ_GEMM_SSE2_PACK 1
+#endif
+
+inline std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+// op(B) = b (Trans::no: row p at b + p*ldb) or b^T (Trans::yes: column j at
+// b + j*ldb).
+struct DenseB {
+  const std::uint8_t* b;
+  std::int64_t row_step, lane_step, n;
+
+  DenseB(const IntGemmB& src, std::int64_t n_cols)
+      : b(src.data),
+        row_step(src.trans == Trans::no ? src.ldb : 1),
+        lane_step(src.trans == Trans::no ? 1 : src.ldb),
+        n(n_cols) {}
+
+  struct Panel {
+    const std::uint8_t* base;
+    std::int64_t row_step, lane_step;
+    std::int64_t valid;
+    std::uint64_t row(std::int64_t p) const {
+      const std::uint8_t* src = base + p * row_step;
+      if (lane_step == 1 && valid == kGemmNR) return load_word(src);
+      std::uint64_t word = 0;
+      for (std::int64_t j = 0; j < valid; ++j) {
+        word |= static_cast<std::uint64_t>(src[j * lane_step]) << (8 * j);
+      }
+      return word;
+    }
+  };
+  Panel panel(std::int64_t j0) const {
+    return Panel{b + j0 * lane_step, row_step, lane_step,
+                 std::min(kGemmNR, n - j0)};
+  }
+};
+
+// The im2col matrix of one padded sample, read through its ConvPackPlan:
+// each panel's lane table is built once, then every depth row is one
+// 8-byte load (consecutive lanes) or an 8-lane gather.
+struct ConvB {
+  const ConvPackPlan* plan;
+  const std::uint8_t* sample;
+
+  struct Panel {
+    const std::uint8_t* sample;
+    const std::int32_t* tap;
+    std::int32_t lane[kGemmNR];
+    bool contiguous;
+    std::int64_t valid;
+    std::uint64_t row(std::int64_t p) const {
+      const std::uint8_t* src = sample + tap[p];
+      if (contiguous) return load_word(src + lane[0]);
+      std::uint64_t word = 0;
+      for (std::int64_t j = 0; j < valid; ++j) {
+        word |= static_cast<std::uint64_t>(src[lane[j]]) << (8 * j);
+      }
+      return word;
+    }
+  };
+  Panel panel(std::int64_t j0) const {
+    Panel out{sample, plan->tap.data(), {}, true,
+              std::min(kGemmNR, plan->n() - j0)};
+    for (std::int64_t j = 0; j < out.valid; ++j) {
+      out.lane[j] = plan->lane(j0 + j);
+      out.contiguous = out.contiguous && out.lane[j] == out.lane[0] + j;
+    }
+    out.contiguous = out.contiguous && out.valid == kGemmNR;
+    return out;
+  }
+};
+
+// Interleaves depth rows into one micro-panel row group: two rows into NR
+// int16 pairs (K-pair layout), four rows into NR byte quads (K-quad
+// layout). SSE2 unpacks where available; the scalar forms write the same
+// bytes.
+inline void store_pair_row(std::uint64_t r0, std::uint64_t r1,
+                           std::int16_t* dst) {
+#ifdef CSQ_GEMM_SSE2_PACK
+  const __m128i pairs = _mm_unpacklo_epi8(
+      _mm_cvtsi64_si128(static_cast<long long>(r0)),
+      _mm_cvtsi64_si128(static_cast<long long>(r1)));
+  const __m128i zero = _mm_setzero_si128();
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                   _mm_unpacklo_epi8(pairs, zero));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 8),
+                   _mm_unpackhi_epi8(pairs, zero));
+#else
+  for (std::int64_t j = 0; j < kGemmNR; ++j) {
+    dst[j * 2] = static_cast<std::int16_t>((r0 >> (8 * j)) & 0xFF);
+    dst[j * 2 + 1] = static_cast<std::int16_t>((r1 >> (8 * j)) & 0xFF);
+  }
+#endif
+}
+
+inline void store_quad_row(std::uint64_t r0, std::uint64_t r1,
+                           std::uint64_t r2, std::uint64_t r3,
+                           std::uint8_t* dst) {
+#ifdef CSQ_GEMM_SSE2_PACK
+  const __m128i t01 = _mm_unpacklo_epi8(
+      _mm_cvtsi64_si128(static_cast<long long>(r0)),
+      _mm_cvtsi64_si128(static_cast<long long>(r1)));
+  const __m128i t23 = _mm_unpacklo_epi8(
+      _mm_cvtsi64_si128(static_cast<long long>(r2)),
+      _mm_cvtsi64_si128(static_cast<long long>(r3)));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                   _mm_unpacklo_epi16(t01, t23));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
+                   _mm_unpackhi_epi16(t01, t23));
+#else
+  const std::uint64_t rows[4] = {r0, r1, r2, r3};
+  for (std::int64_t j = 0; j < kGemmNR; ++j) {
+    for (int q = 0; q < 4; ++q) {
+      dst[j * 4 + q] = static_cast<std::uint8_t>((rows[q] >> (8 * j)) & 0xFF);
+    }
+  }
+#endif
+}
+
+// One B micro-panel (depth pc..pc+kc, columns j0..j0+NR) in the layout
+// `kernel` consumes; the depth tail past kc is zero.
+template <typename BSrc>
+void pack_b_micro_panel(IntKernel kernel, const BSrc& src, std::int64_t pc,
+                        std::int64_t j0, std::int64_t kc, void* dst) {
+  const auto panel = src.panel(j0);
+  const auto row = [&](std::int64_t p) -> std::uint64_t {
+    return p < kc ? panel.row(pc + p) : 0;
+  };
+  if (kernel == IntKernel::kS8U8) {
+    auto* pairs = static_cast<std::int16_t*>(dst);
+    for (std::int64_t p = 0; p < kc; p += 2) {
+      store_pair_row(row(p), row(p + 1), pairs + p * kGemmNR);
+    }
+    return;
+  }
+  auto* quads = static_cast<std::uint8_t*>(dst);
+  for (std::int64_t p = 0; p < kc; p += 4) {
+    store_quad_row(row(p), row(p + 1), row(p + 2), row(p + 3),
+                   quads + p * kGemmNR);
+  }
+}
+
+// Everything one integer GEMM call's tasks share.
+struct IntGemmArgs {
+  IntKernel kernel;
+  std::int64_t m, n, k;
+  std::int32_t alpha;
+  bool accumulate;
+  const std::uint8_t* packed_a;
+  std::int32_t* c;
+  std::int64_t ldc;
+};
+
+// One task: C rows [row_begin, row_end) x columns [col_begin, col_end)
+// (MR / NR aligned starts), over the full ascending depth loop. Each B
+// micro-panel is packed into a stack buffer and swept by every row panel
+// of the task before the next one is packed.
+template <typename BSrc>
+void run_int_task(const IntGemmArgs& g, const BSrc& src,
+                  std::int64_t row_begin, std::int64_t row_end,
+                  std::int64_t col_begin, std::int64_t col_end) {
+  alignas(32) std::int16_t panel[kGemmKC * kGemmNR];
+  std::int32_t acc[kGemmMR * kGemmNR];
+  const std::uint8_t* a_block = g.packed_a;
+  for (std::int64_t pc = 0; pc < g.k; pc += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, g.k - pc);
+    const std::int64_t a_panel = a_panel_bytes(g.kernel, kc);
+    const bool add_into_c = g.accumulate || pc != 0;
+    for (std::int64_t j0 = col_begin; j0 < col_end; j0 += kGemmNR) {
+      const std::int64_t n_sub = std::min(kGemmNR, g.n - j0);
+      pack_b_micro_panel(g.kernel, src, pc, j0, kc, panel);
+      for (std::int64_t i0 = row_begin; i0 < row_end; i0 += kGemmMR) {
+        run_micro_kernel(g.kernel, a_block + (i0 / kGemmMR) * a_panel, panel,
+                         kc, acc);
+        update_c_tile_int(g.c + i0 * g.ldc + j0, g.ldc, acc,
+                          std::min(kGemmMR, g.m - i0), n_sub, g.alpha,
+                          add_into_c);
+      }
+    }
+    a_block += a_block_bytes(g.kernel, g.m, kc);
+  }
+}
+
+// Task grid of a pooled call: the kCols/kGrid tile grid when it splits,
+// else one task per MC row tile (kRows; a single task for m <= kGemmMC).
+TileGrid int_task_grid(GemmSplit split, std::int64_t m, std::int64_t n,
+                       int ways) {
+  if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
+  if (split != GemmSplit::kRows) {
+    const TileGrid grid = make_tile_grid(split, m, n, ways);
+    if (grid.tasks() > 1) return grid;
+  }
+  TileGrid rows;
+  rows.row_groups = (m + kGemmMC - 1) / kGemmMC;
+  rows.panels_per_stripe = (n + kGemmNR - 1) / kGemmNR;
+  return rows;
+}
+
+// The integer driver: every C element is owned by exactly one task and
+// integer accumulation is exact, so any grid gives the serial bits.
+template <typename BSrc>
+void int_gemm_run(const IntGemmArgs& g, const BSrc& src, bool pooled,
+                  GemmSplit split, int split_ways) {
+  if (g.m == 0 || g.n == 0) return;
+  if (g.alpha == 0 || g.k == 0) {
+    if (!g.accumulate) {
+      for (std::int64_t i = 0; i < g.m; ++i) {
+        std::fill(g.c + i * g.ldc, g.c + i * g.ldc + g.n, 0);
       }
     }
     return;
   }
-  IntGemmScratch& shared = scratch != nullptr ? *scratch : local_int_scratch();
-
-  if (pooled) {
-    const int ways = resolve_split_ways(split_ways);
-    if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
-    if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, m, n, ways);
-      if (grid.tasks() > 1) {
-        gemm_s8u8_quad_blocked_grid(kernel, trans_b, m, n, k, alpha,
-                                    prepacked_a, b, ldb, accumulate, c, ldc,
-                                    shared, grid);
-        return;
-      }
-    }
+  const TileGrid grid =
+      pooled ? int_task_grid(split, g.m, g.n, resolve_split_ways(split_ways))
+             : TileGrid{};
+  if (grid.tasks() <= 1) {
+    run_int_task(g, src, 0, g.m, 0, g.n);
+    return;
   }
-
-  for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const std::int64_t nc = std::min(kGemmNC, n - jc);
-    const std::int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
-    std::int64_t a_block_offset = 0;
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      const std::int64_t kcq = quad_kc(kc);
-      ensure_size_u8(shared.packed_b_quad,
-                     static_cast<std::size_t>(b_panels * kGemmNR * kcq));
-      pack_b_u8_quad(trans_b, b, ldb, pc, jc, kc, nc,
-                     shared.packed_b_quad.data());
-      const bool add_into_c = accumulate || pc != 0;
-      const std::uint8_t* a_block = prepacked_a + a_block_offset;
-
-      const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-      if (!pooled || ic_tiles <= 1) {
-        for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_ic_tile_quad(kernel, t * kGemmMC, jc, m, kc, nc, alpha,
-                           add_into_c, a_block, shared.packed_b_quad.data(),
-                           c, ldc);
+  parallel_for_chunked(
+      0, grid.tasks(), [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t t = begin; t < end; ++t) {
+          const std::int64_t row_group = t / grid.col_stripes;
+          const std::int64_t stripe = t % grid.col_stripes;
+          const std::int64_t rows = grid.tiles_per_group * kGemmMC;
+          const std::int64_t cols = grid.panels_per_stripe * kGemmNR;
+          run_int_task(g, src, row_group * rows,
+                       std::min(g.m, (row_group + 1) * rows), stripe * cols,
+                       std::min(g.n, (stripe + 1) * cols));
         }
-      } else {
-        struct TileContext {
-          QuadKernel kernel;
-          std::int64_t jc, m, kc, nc;
-          std::int32_t alpha;
-          bool add_into_c;
-          const std::uint8_t* a_block;
-          const std::uint8_t* packed_b;
-          std::int32_t* c;
-          std::int64_t ldc;
-        } ctx;
-        ctx.kernel = kernel;
-        ctx.jc = jc;
-        ctx.m = m;
-        ctx.kc = kc;
-        ctx.nc = nc;
-        ctx.alpha = alpha;
-        ctx.add_into_c = add_into_c;
-        ctx.a_block = a_block;
-        ctx.packed_b = shared.packed_b_quad.data();
-        ctx.c = c;
-        ctx.ldc = ldc;
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_ic_tile_quad(ctx.kernel, t * kGemmMC, ctx.jc, ctx.m,
-                                 ctx.kc, ctx.nc, ctx.alpha, ctx.add_into_c,
-                                 ctx.a_block, ctx.packed_b, ctx.c, ctx.ldc);
-              }
-            });
-      }
-      a_block_offset += quad_packed_a_block_bytes(kernel, m, kc);
-    }
-  }
+      });
 }
 
 // Low-bit extents: |alpha| <= 8 admits chaining per-bit-plane passes with
@@ -1504,13 +1319,87 @@ void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
                scratch, pooled, split, split_ways);
 }
 
+
+void gemm_scratch_reserve(GemmScratch& scratch, std::int64_t m,
+                          std::int64_t n, std::int64_t k) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  ensure_size(scratch.packed_a, static_cast<std::size_t>(a_stripe_elems(m, k)));
+  ensure_size(scratch.packed_b,
+              static_cast<std::size_t>((std::min(n, kGemmNC) + kGemmNR - 1) /
+                                       kGemmNR * kGemmNR *
+                                       std::min(k, kGemmKC)));
+}
+
+void gemm_s8u8_packed(IntKernel kernel, std::int64_t m, std::int64_t n,
+                      std::int64_t k, std::int32_t alpha,
+                      const void* packed_a, const IntGemmB& b,
+                      bool accumulate, std::int32_t* c, std::int64_t ldc,
+                      bool pooled, GemmSplit split, int split_ways) {
+  if (kernel == IntKernel::kS8U8) {
+    check_int_extents(b.trans, m, n, k, alpha);
+  } else {
+    check_lowbit_extents(b.trans, m, n, k, alpha);
+  }
+  const IntGemmArgs args{kernel,     m, n, k, alpha, accumulate,
+                         static_cast<const std::uint8_t*>(packed_a),
+                         c,          ldc};
+  const bool fan_out = pooled && pooled_int_dispatch(m, n, k);
+  if (b.plan != nullptr) {
+    CSQ_CHECK(k == b.plan->k() && n == b.plan->n())
+        << "gemm_s8u8: conv operand is " << b.plan->k() << "x"
+        << b.plan->n() << ", call is " << k << "x" << n;
+    int_gemm_run(args, ConvB{b.plan, b.data}, fan_out, split, split_ways);
+  } else {
+    int_gemm_run(args, DenseB(b, n), fan_out, split, split_ways);
+  }
+}
+
+void gemm_s8u8_pack_b_panel(IntKernel kernel, const IntGemmB& b,
+                            std::int64_t n, std::int64_t pc, std::int64_t j0,
+                            std::int64_t kc, void* dst) {
+  CSQ_CHECK(kc > 0 && kc <= kGemmKC && j0 >= 0 && j0 % kGemmNR == 0 &&
+            j0 < n)
+      << "gemm_s8u8_pack_b_panel: bad panel (pc " << pc << ", j0 " << j0
+      << ", kc " << kc << ", n " << n << ")";
+  if (b.plan != nullptr) {
+    CSQ_CHECK(n == b.plan->n() && pc + kc <= b.plan->k())
+        << "gemm_s8u8_pack_b_panel: panel outside the conv operand";
+    pack_b_micro_panel(kernel, ConvB{b.plan, b.data}, pc, j0, kc, dst);
+  } else {
+    pack_b_micro_panel(kernel, DenseB(b, n), pc, j0, kc, dst);
+  }
+}
+
+namespace {
+
+// The un-prepacked entry points pack A whole on the calling thread, then run
+// the prepacked driver.
+void gemm_s8u8_unpacked(Trans trans_b, std::int64_t m, std::int64_t n,
+                        std::int64_t k, std::int32_t alpha,
+                        const std::int8_t* a, std::int64_t lda,
+                        const std::uint8_t* b, std::int64_t ldb,
+                        bool accumulate, std::int32_t* c, std::int64_t ldc,
+                        IntGemmScratch* scratch, bool pooled, GemmSplit split,
+                        int split_ways) {
+  check_int_extents(trans_b, m, n, k, alpha);
+  std::vector<std::int16_t>& packed =
+      (scratch != nullptr ? *scratch : local_int_scratch()).packed_a;
+  const auto size = static_cast<std::size_t>(gemm_s8u8_packed_a_size(m, k));
+  if (packed.size() < size) packed.resize(size);
+  gemm_s8u8_pack_a(m, k, a, lda, packed.data());
+  gemm_s8u8_packed(IntKernel::kS8U8, m, n, k, alpha, packed.data(),
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   pooled, split, split_ways);
+}
+
+}  // namespace
+
 void gemm_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
                std::int32_t alpha, const std::int8_t* a, std::int64_t lda,
                const std::uint8_t* b, std::int64_t ldb, bool accumulate,
                std::int32_t* c, std::int64_t ldc, IntGemmScratch* scratch) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, a, lda, /*prepacked_a=*/nullptr,
-                    b, ldb, accumulate, c, ldc, scratch, /*pooled=*/false);
+  gemm_s8u8_unpacked(trans_b, m, n, k, alpha, a, lda, b, ldb, accumulate, c,
+                     ldc, scratch, /*pooled=*/false, GemmSplit::kAuto, 0);
 }
 
 void gemm_s8u8_parallel(Trans trans_b, std::int64_t m, std::int64_t n,
@@ -1520,10 +1409,8 @@ void gemm_s8u8_parallel(Trans trans_b, std::int64_t m, std::int64_t n,
                         bool accumulate, std::int32_t* c, std::int64_t ldc,
                         IntGemmScratch* scratch, GemmSplit split,
                         int split_ways) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, a, lda, /*prepacked_a=*/nullptr,
-                    b, ldb, accumulate, c, ldc, scratch,
-                    pooled_int_dispatch(m, n, k), split, split_ways);
+  gemm_s8u8_unpacked(trans_b, m, n, k, alpha, a, lda, b, ldb, accumulate, c,
+                     ldc, scratch, /*pooled=*/true, split, split_ways);
 }
 
 std::int64_t gemm_s8u8_packed_a_size(std::int64_t m, std::int64_t k) {
@@ -1536,11 +1423,11 @@ std::int64_t gemm_s8u8_packed_a_size(std::int64_t m, std::int64_t k) {
 
 void gemm_s8u8_pack_a(std::int64_t m, std::int64_t k, const std::int8_t* a,
                       std::int64_t lda, std::int16_t* packed) {
-  // Panels for the whole m extent per pc block — run_ic_tile_int slices MC
-  // tiles out of the same consecutive layout.
+  // Panels for the whole m extent per pc block — the drivers slice row
+  // panels out of the same consecutive layout.
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t kc = std::min(kGemmKC, k - pc);
-    pack_a_s8(a, lda, /*ic=*/0, pc, m, kc, packed);
+    pack_a_s8(a, lda, pc, m, kc, packed);
     packed += packed_a_block_size(m, kc);
   }
 }
@@ -1549,11 +1436,10 @@ void gemm_s8u8_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
                          std::int64_t k, std::int32_t alpha,
                          const std::int16_t* packed_a, const std::uint8_t* b,
                          std::int64_t ldb, bool accumulate, std::int32_t* c,
-                         std::int64_t ldc, IntGemmScratch* scratch) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, /*a=*/nullptr, /*lda=*/0,
-                    packed_a, b, ldb, accumulate, c, ldc, scratch,
-                    /*pooled=*/false);
+                         std::int64_t ldc) {
+  gemm_s8u8_packed(IntKernel::kS8U8, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/false);
 }
 
 void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
@@ -1562,19 +1448,17 @@ void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
                                   const std::int16_t* packed_a,
                                   const std::uint8_t* b, std::int64_t ldb,
                                   bool accumulate, std::int32_t* c,
-                                  std::int64_t ldc, IntGemmScratch* scratch,
-                                  GemmSplit split, int split_ways) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_blocked(trans_b, m, n, k, alpha, /*a=*/nullptr, /*lda=*/0,
-                    packed_a, b, ldb, accumulate, c, ldc, scratch,
-                    pooled_int_dispatch(m, n, k), split, split_ways);
+                                  std::int64_t ldc, GemmSplit split,
+                                  int split_ways) {
+  gemm_s8u8_packed(IntKernel::kS8U8, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/true, split, split_ways);
 }
 
 std::int64_t gemm_s8u8_lowbit_packed_a_size(std::int64_t m, std::int64_t k) {
   std::int64_t total = 0;
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    total += quad_packed_a_block_bytes(QuadKernel::kLowBit, m,
-                                       std::min(kGemmKC, k - pc));
+    total += a_block_bytes(IntKernel::kLowBit, m, std::min(kGemmKC, k - pc));
   }
   return total;
 }
@@ -1594,16 +1478,15 @@ void gemm_s8u8_lowbit_pack_a(std::int64_t m, std::int64_t k,
       << " > 64 would saturate the vpmaddubsw pair sums";
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t kc = std::min(kGemmKC, k - pc);
-    pack_a_s8_quad(a, lda, /*ic=*/0, pc, m, kc, packed);
-    packed += quad_packed_a_block_bytes(QuadKernel::kLowBit, m, kc);
+    pack_a_s8_quad(a, lda, pc, m, kc, packed);
+    packed += a_block_bytes(IntKernel::kLowBit, m, kc);
   }
 }
 
 std::int64_t gemm_s8u8_nibble_packed_a_size(std::int64_t m, std::int64_t k) {
   std::int64_t total = 0;
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-    total += quad_packed_a_block_bytes(QuadKernel::kNibble, m,
-                                       std::min(kGemmKC, k - pc));
+    total += a_block_bytes(IntKernel::kNibble, m, std::min(kGemmKC, k - pc));
   }
   return total;
 }
@@ -1621,8 +1504,8 @@ void gemm_s8u8_nibble_pack_a(std::int64_t m, std::int64_t k,
   }
   for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
     const std::int64_t kc = std::min(kGemmKC, k - pc);
-    pack_a_nibble_quad(a, lda, /*ic=*/0, pc, m, kc, packed);
-    packed += quad_packed_a_block_bytes(QuadKernel::kNibble, m, kc);
+    pack_a_nibble_quad(a, lda, pc, m, kc, packed);
+    packed += a_block_bytes(IntKernel::kNibble, m, kc);
   }
 }
 
@@ -1644,11 +1527,10 @@ void gemm_s8u8_lowbit_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
                                 const std::int8_t* packed_a,
                                 const std::uint8_t* b, std::int64_t ldb,
                                 bool accumulate, std::int32_t* c,
-                                std::int64_t ldc, IntGemmScratch* scratch) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBit, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch, /*pooled=*/false);
+                                std::int64_t ldc) {
+  gemm_s8u8_packed(IntKernel::kLowBit, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/false);
 }
 
 void gemm_s8u8_lowbit_prepacked_parallel(Trans trans_b, std::int64_t m,
@@ -1658,13 +1540,10 @@ void gemm_s8u8_lowbit_prepacked_parallel(Trans trans_b, std::int64_t m,
                                          const std::uint8_t* b,
                                          std::int64_t ldb, bool accumulate,
                                          std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch,
                                          GemmSplit split, int split_ways) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBit, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch,
-                         pooled_int_dispatch(m, n, k), split, split_ways);
+  gemm_s8u8_packed(IntKernel::kLowBit, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/true, split, split_ways);
 }
 
 void gemm_s8u8_lowbit_wide_prepacked(Trans trans_b, std::int64_t m,
@@ -1673,24 +1552,20 @@ void gemm_s8u8_lowbit_wide_prepacked(Trans trans_b, std::int64_t m,
                                      const std::int8_t* packed_a,
                                      const std::uint8_t* b, std::int64_t ldb,
                                      bool accumulate, std::int32_t* c,
-                                     std::int64_t ldc,
-                                     IntGemmScratch* scratch) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBitWide, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch, /*pooled=*/false);
+                                     std::int64_t ldc) {
+  gemm_s8u8_packed(IntKernel::kLowBitWide, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/false);
 }
 
 void gemm_s8u8_lowbit_wide_prepacked_parallel(
     Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
     std::int32_t alpha, const std::int8_t* packed_a, const std::uint8_t* b,
     std::int64_t ldb, bool accumulate, std::int32_t* c, std::int64_t ldc,
-    IntGemmScratch* scratch, GemmSplit split, int split_ways) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kLowBitWide, trans_b, m, n, k, alpha,
-                         reinterpret_cast<const std::uint8_t*>(packed_a), b,
-                         ldb, accumulate, c, ldc, scratch,
-                         pooled_int_dispatch(m, n, k), split, split_ways);
+    GemmSplit split, int split_ways) {
+  gemm_s8u8_packed(IntKernel::kLowBitWide, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/true, split, split_ways);
 }
 
 void gemm_s8u8_nibble_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
@@ -1698,11 +1573,10 @@ void gemm_s8u8_nibble_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
                                 const std::uint8_t* packed_a,
                                 const std::uint8_t* b, std::int64_t ldb,
                                 bool accumulate, std::int32_t* c,
-                                std::int64_t ldc, IntGemmScratch* scratch) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kNibble, trans_b, m, n, k, alpha,
-                         packed_a, b, ldb, accumulate, c, ldc, scratch,
-                         /*pooled=*/false);
+                                std::int64_t ldc) {
+  gemm_s8u8_packed(IntKernel::kNibble, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/false);
 }
 
 void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
@@ -1712,12 +1586,10 @@ void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
                                          const std::uint8_t* b,
                                          std::int64_t ldb, bool accumulate,
                                          std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch,
                                          GemmSplit split, int split_ways) {
-  check_lowbit_extents(trans_b, m, n, k, alpha);
-  gemm_s8u8_quad_blocked(QuadKernel::kNibble, trans_b, m, n, k, alpha,
-                         packed_a, b, ldb, accumulate, c, ldc, scratch,
-                         pooled_int_dispatch(m, n, k), split, split_ways);
+  gemm_s8u8_packed(IntKernel::kNibble, m, n, k, alpha, packed_a,
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
+                   /*pooled=*/true, split, split_ways);
 }
 
 }  // namespace csq

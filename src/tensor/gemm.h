@@ -92,13 +92,20 @@ std::int64_t gemm_split_task_count(GemmSplit split, std::int64_t m,
 // Reusable packing scratch. Grow-once: buffers expand to the largest panel
 // seen and are then recycled, so a layer that owns a GemmScratch performs
 // zero steady-state allocations. When no scratch is supplied the kernels use
-// an internal thread-local instance (one per pool thread, also grow-once).
-// Column-split/grid runs size `packed_b` as pool_slot_count() stripe
-// regions (still grow-once, still kKC * kNC elements per slot at most).
+// the calling thread's thread-local instance (also grow-once). Pooled runs
+// carve pool_slot()-indexed stripes for the per-task A panels (and, for the
+// column-split/grid paths, the per-task B panels) out of the one scratch and
+// size them on the calling thread before fanning out, so a pool thread never
+// grows storage of its own.
 struct GemmScratch {
   std::vector<float> packed_a;  // kMC x kKC panel, MR-tall micro-panels
   std::vector<float> packed_b;  // kKC x kNC panel, NR-wide micro-panels
 };
+
+// Grows `scratch` to what one serial `gemm` call of this shape packs, so a
+// per-slot scratch sized before a parallel region never grows inside it.
+void gemm_scratch_reserve(GemmScratch& scratch, std::int64_t m,
+                          std::int64_t n, std::int64_t k);
 
 void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, std::int64_t lda,
@@ -125,21 +132,31 @@ void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
 // TIGHT, not ample: the runtime's split-plane chaining (alpha=2 on a hi
 // plane reaching -128, plus the lo pass) costs up to 65535 per depth step,
 // so exactness requires k <= 32767 — enforced by PackedIntWeights, and a
-// bound any alpha/code-range extension must re-derive. The blocked loop
-// nest, the packed-panel layouts and the
-// MC-row-tile parallel split are shared with the float kernel above; panels
-// are widened to int16 during packing so the micro-kernel runs
-// convert-multiply-accumulate on full vectors. Integer arithmetic is
-// associative, so serial and pooled execution are bit-identical by
+// bound any alpha/code-range extension must re-derive. A is packed into the
+// kernel's micro-panel layout once per weight matrix (prepacked); B is
+// packed one kKC x NR micro-panel at a time, on the stack of the task that
+// consumes it, right before the micro-kernel sweeps every row panel of the
+// task against it — so the integer drivers need no packed-B scratch and
+// never allocate. Panels are widened to int16 during packing (K-PAIR
+// layout) so the micro-kernel runs convert-multiply-accumulate on full
+// vectors. Integer arithmetic is associative and every C element is owned
+// by exactly one task, so serial and pooled execution are bit-identical by
 // construction (and asserted by the runtime parity tests).
 //
 // `accumulate` == false overwrites C, true adds into it — the runtime's
 // split-plane weights (codes beyond +/-127 decomposed as 2*hi + lo) chain
 // two calls: alpha=2 overwrite, alpha=1 accumulate.
+//
+// B comes from one of two sources (IntGemmB): a dense (k x n) matrix op(B),
+// or a convolution's im2col matrix that is never materialized — the packer
+// reads each micro-panel straight from one (padded) input sample through a
+// ConvPackPlan (tensor/im2col.h), the implicit GEMM of Chetlur et al.,
+// "cuDNN: Efficient Primitives for Deep Learning" (arXiv:1410.0759).
+
+// Scratch of the un-prepacked entry points: A panels packed per call (null
+// scratch = the calling thread's grow-once thread-local instance).
 struct IntGemmScratch {
   std::vector<std::int16_t> packed_a;  // widened int8 micro-panels
-  std::vector<std::int16_t> packed_b;  // widened uint8 micro-panels
-  std::vector<std::uint8_t> packed_b_quad;  // raw uint8 K-quad micro-panels
 };
 
 void gemm_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
@@ -170,7 +187,7 @@ void gemm_s8u8_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
                          std::int64_t k, std::int32_t alpha,
                          const std::int16_t* packed_a, const std::uint8_t* b,
                          std::int64_t ldb, bool accumulate, std::int32_t* c,
-                         std::int64_t ldc, IntGemmScratch* scratch = nullptr);
+                         std::int64_t ldc);
 
 void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
                                   std::int64_t n, std::int64_t k,
@@ -179,7 +196,6 @@ void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
                                   const std::uint8_t* b, std::int64_t ldb,
                                   bool accumulate, std::int32_t* c,
                                   std::int64_t ldc,
-                                  IntGemmScratch* scratch = nullptr,
                                   GemmSplit split = GemmSplit::kAuto,
                                   int split_ways = 0);
 
@@ -194,8 +210,7 @@ void gemm_s8u8_prepacked_parallel(Trans trans_b, std::int64_t m,
 // |a| <= 64 per weight code (255 * (|a0| + |a1|) <= 32767); the low-bit pack
 // routine enforces that bound. Results are EXACTLY the int32 products the
 // reference s8u8 kernel produces, and the serial/pooled bit-identity
-// contract carries over unchanged (same NC/KC/MC split, same MC-row-tile
-// parallel distribution).
+// contract carries over unchanged (same KC depth blocking, same task grid).
 //
 // Three flavors:
 //  * low-bit ("bit-serial collapsed"): A packed as raw int8 quads. Twice
@@ -236,8 +251,7 @@ void gemm_s8u8_lowbit_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
                                 const std::int8_t* packed_a,
                                 const std::uint8_t* b, std::int64_t ldb,
                                 bool accumulate, std::int32_t* c,
-                                std::int64_t ldc,
-                                IntGemmScratch* scratch = nullptr);
+                                std::int64_t ldc);
 
 void gemm_s8u8_lowbit_prepacked_parallel(Trans trans_b, std::int64_t m,
                                          std::int64_t n, std::int64_t k,
@@ -246,7 +260,6 @@ void gemm_s8u8_lowbit_prepacked_parallel(Trans trans_b, std::int64_t m,
                                          const std::uint8_t* b,
                                          std::int64_t ldb, bool accumulate,
                                          std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch = nullptr,
                                          GemmSplit split = GemmSplit::kAuto,
                                          int split_ways = 0);
 
@@ -256,23 +269,20 @@ void gemm_s8u8_lowbit_wide_prepacked(Trans trans_b, std::int64_t m,
                                      const std::int8_t* packed_a,
                                      const std::uint8_t* b, std::int64_t ldb,
                                      bool accumulate, std::int32_t* c,
-                                     std::int64_t ldc,
-                                     IntGemmScratch* scratch = nullptr);
+                                     std::int64_t ldc);
 
 void gemm_s8u8_lowbit_wide_prepacked_parallel(
     Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
     std::int32_t alpha, const std::int8_t* packed_a, const std::uint8_t* b,
     std::int64_t ldb, bool accumulate, std::int32_t* c, std::int64_t ldc,
-    IntGemmScratch* scratch = nullptr, GemmSplit split = GemmSplit::kAuto,
-    int split_ways = 0);
+    GemmSplit split = GemmSplit::kAuto, int split_ways = 0);
 
 void gemm_s8u8_nibble_prepacked(Trans trans_b, std::int64_t m, std::int64_t n,
                                 std::int64_t k, std::int32_t alpha,
                                 const std::uint8_t* packed_a,
                                 const std::uint8_t* b, std::int64_t ldb,
                                 bool accumulate, std::int32_t* c,
-                                std::int64_t ldc,
-                                IntGemmScratch* scratch = nullptr);
+                                std::int64_t ldc);
 
 void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
                                          std::int64_t n, std::int64_t k,
@@ -281,8 +291,55 @@ void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
                                          const std::uint8_t* b,
                                          std::int64_t ldb, bool accumulate,
                                          std::int32_t* c, std::int64_t ldc,
-                                         IntGemmScratch* scratch = nullptr,
                                          GemmSplit split = GemmSplit::kAuto,
                                          int split_ways = 0);
+
+// ------------------------------------------- one entry, either B source ---
+
+// The micro-kernel family a prepacked A panel set belongs to: kS8U8 panels
+// come from gemm_s8u8_pack_a (int16), kLowBit/kLowBitWide from
+// gemm_s8u8_lowbit_pack_a (int8), kNibble from gemm_s8u8_nibble_pack_a.
+enum class IntKernel { kS8U8, kLowBit, kLowBitWide, kNibble };
+
+struct ConvPackPlan;  // tensor/im2col.h
+
+// The B operand: a dense matrix op(B) = b (trans, ldb), or the im2col
+// matrix of `sample` (padded as `plan` requires, see ConvPackPlan) read
+// through the plan — k = plan.k(), n = plan.n().
+struct IntGemmB {
+  const std::uint8_t* data = nullptr;
+  Trans trans = Trans::no;
+  std::int64_t ldb = 0;
+  const ConvPackPlan* plan = nullptr;
+
+  static IntGemmB dense(Trans trans, const std::uint8_t* b, std::int64_t ldb) {
+    return IntGemmB{b, trans, ldb, nullptr};
+  }
+  static IntGemmB conv(const ConvPackPlan& plan, const std::uint8_t* sample) {
+    return IntGemmB{sample, Trans::no, 0, &plan};
+  }
+};
+
+// C(m, n) = alpha * A * B [+ C] through `kernel`'s micro-kernel. `pooled`
+// fans the (row tile x column stripe) task grid out over the pool when the
+// shape is worth it and the caller is not already inside a parallel region;
+// `split`/`split_ways` pick the grid as for the entry points above. Same
+// alpha / depth contract as the family's prepacked entry points.
+void gemm_s8u8_packed(IntKernel kernel, std::int64_t m, std::int64_t n,
+                      std::int64_t k, std::int32_t alpha,
+                      const void* packed_a, const IntGemmB& b,
+                      bool accumulate, std::int32_t* c, std::int64_t ldc,
+                      bool pooled, GemmSplit split = GemmSplit::kAuto,
+                      int split_ways = 0);
+
+// The B micro-panel the drivers hand `kernel`'s micro-kernel: depth rows
+// pc..pc+kc (kc <= kGemmKC) of columns j0..j0+kGemmNR (j0 a multiple of
+// kGemmNR; columns past n and the pair/quad depth tail are zero). kS8U8
+// writes paired_kc(kc) * kGemmNR int16 values to `dst`, the quad kernels
+// quad_kc(kc) * kGemmNR bytes. Exposed so the implicit-GEMM packer can be
+// checked byte for byte against im2col + the dense packer.
+void gemm_s8u8_pack_b_panel(IntKernel kernel, const IntGemmB& b,
+                            std::int64_t n, std::int64_t pc, std::int64_t j0,
+                            std::int64_t kc, void* dst);
 
 }  // namespace csq

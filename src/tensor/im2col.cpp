@@ -98,6 +98,54 @@ void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
   }
 }
 
+ConvPackPlan make_conv_pack_plan(const ConvGeometry& geom) {
+  geom.validate();
+  ConvPackPlan plan;
+  plan.geom = geom;
+  plan.padded_h = geom.height + 2 * geom.pad;
+  plan.padded_w = geom.width + 2 * geom.pad;
+  // Factor by factor, so a corrupt extent cannot overflow the product.
+  constexpr std::int64_t kMaxBytes = std::int64_t{1} << 31;
+  CSQ_CHECK(plan.padded_h < kMaxBytes && plan.padded_w < kMaxBytes &&
+            plan.padded_h * plan.padded_w < kMaxBytes &&
+            geom.channels < kMaxBytes &&
+            plan.padded_bytes() < kMaxBytes && geom.stride < kMaxBytes)
+      << "conv pack plan: padded sample " << geom.channels << "x"
+      << plan.padded_h << "x" << plan.padded_w
+      << " exceeds int32 offsets";
+  plan.tap.reserve(static_cast<std::size_t>(plan.k()));
+  for (std::int64_t c = 0; c < geom.channels; ++c) {
+    for (std::int64_t ki = 0; ki < geom.kernel_h; ++ki) {
+      for (std::int64_t kj = 0; kj < geom.kernel_w; ++kj) {
+        plan.tap.push_back(static_cast<std::int32_t>(
+            (c * plan.padded_h + ki) * plan.padded_w + kj));
+      }
+    }
+  }
+  return plan;
+}
+
+void pad_sample_u8(const ConvPackPlan& plan, const std::uint8_t* image,
+                   std::uint8_t* padded, std::uint8_t pad_code) {
+  const ConvGeometry& geom = plan.geom;
+  const std::int64_t pad = geom.pad;
+  const std::int64_t row_bytes = plan.padded_w;
+  for (std::int64_t c = 0; c < geom.channels; ++c) {
+    std::uint8_t* dst = padded + c * plan.padded_h * row_bytes;
+    std::fill(dst, dst + pad * row_bytes, pad_code);
+    dst += pad * row_bytes;
+    const std::uint8_t* src = image + c * geom.height * geom.width;
+    for (std::int64_t y = 0; y < geom.height; ++y) {
+      std::fill(dst, dst + pad, pad_code);
+      std::memcpy(dst + pad, src + y * geom.width,
+                  static_cast<std::size_t>(geom.width));
+      std::fill(dst + pad + geom.width, dst + row_bytes, pad_code);
+      dst += row_bytes;
+    }
+    std::fill(dst, dst + pad * row_bytes, pad_code);
+  }
+}
+
 void col2im(const ConvGeometry& geom, const float* col, float* image) {
   const std::int64_t out_h = geom.out_h();
   const std::int64_t out_w = geom.out_w();

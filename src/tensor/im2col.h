@@ -6,9 +6,16 @@
 // (zero where the source index falls in padding), so that a convolution with
 // weight (OC, C, kh, kw) becomes one GEMM: out = W_mat(OC, C*kh*kw) * col.
 // col2im is the adjoint scatter-add used by the input-gradient pass.
+//
+// The integer runtime never materializes col: ConvPackPlan is its index map,
+// which the int8 GEMM packs B micro-panels through (implicit GEMM).
+// im2col_u8 stays as the reference those panels are tested against.
 #pragma once
 
 #include <cstdint>
+#include <vector>
+
+#include "tensor/gemm.h"
 
 namespace csq {
 
@@ -45,6 +52,44 @@ void im2col(const ConvGeometry& geom, const float* image, float* col);
 // and the integer one see the same border.
 void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
                std::uint8_t* col, std::uint8_t pad_code);
+
+// Implicit im2col for the integer GEMM. The sample is stored padded once —
+// C x padded_h x padded_w bytes, border set to the edge's pad code
+// (pad_sample_u8) — so every tap of every output position is in bounds and
+//   col[k, j] = padded[tap[k] + lane(j)]
+//   tap[k]    = (c * padded_h + ki) * padded_w + kj,  k = (c*kh + ki)*kw + kj
+//   lane(j)   = (oy * padded_w + ox) * stride,         j = oy*out_w + ox
+// The GEMM packs each kGemmNR-column micro-panel straight from the padded
+// sample: it builds the panel's lane table once, then reads each depth row
+// with one 8-byte load where the lanes are consecutive bytes and a per-lane
+// gather otherwise. With pad == 0 the padded sample IS the edge sample (no
+// copy needed).
+struct ConvPackPlan {
+  ConvGeometry geom;
+  std::int64_t padded_h = 0;
+  std::int64_t padded_w = 0;
+  std::vector<std::int32_t> tap;  // k() entries
+
+  std::int64_t k() const { return geom.col_rows(); }
+  std::int64_t n() const { return geom.col_cols(); }
+  bool needs_padding() const { return geom.pad > 0; }
+  std::int64_t padded_bytes() const {
+    return geom.channels * padded_h * padded_w;
+  }
+  // Offset of output position j from a tap's base.
+  std::int32_t lane(std::int64_t j) const {
+    const std::int64_t out_w = geom.out_w();
+    return static_cast<std::int32_t>((j / out_w * padded_w + j % out_w) *
+                                     geom.stride);
+  }
+};
+
+// Throws check_error unless the padded sample fits int32 offsets.
+ConvPackPlan make_conv_pack_plan(const ConvGeometry& geom);
+
+// Writes the padded copy of one C*H*W sample (plan.padded_bytes() bytes).
+void pad_sample_u8(const ConvPackPlan& plan, const std::uint8_t* image,
+                   std::uint8_t* padded, std::uint8_t pad_code);
 
 // Adjoint: accumulates col back into image. `image` must be zeroed by the
 // caller when a fresh gradient is wanted.

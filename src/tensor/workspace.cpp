@@ -74,6 +74,24 @@ Tensor& Workspace::tensor_slot_for(int slot, std::int64_t count) {
   return tensor_slots_[static_cast<std::size_t>(slot)];
 }
 
+void Workspace::reserve_slot_gemm(std::int64_t m, std::int64_t n,
+                                  std::int64_t k) {
+  slot_scratch_live_ = !inside_parallel_region();
+  if (!slot_scratch_live_) return;
+  if (slot_scratch_.empty()) {
+    slot_scratch_.resize(static_cast<std::size_t>(pool_slot_count()));
+    ++growth_count_;
+  }
+  for (GemmScratch& scratch : slot_scratch_) {
+    const std::size_t before =
+        scratch.packed_a.capacity() + scratch.packed_b.capacity();
+    gemm_scratch_reserve(scratch, m, n, k);
+    if (scratch.packed_a.capacity() + scratch.packed_b.capacity() != before) {
+      ++growth_count_;
+    }
+  }
+}
+
 std::int64_t Workspace::total_bytes() const {
   std::int64_t total = 0;
   for (const auto& slot : float_slots_) {

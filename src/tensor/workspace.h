@@ -3,7 +3,7 @@
 // Conv2d and Linear own one Workspace each and draw every recurring buffer
 // from it: the cached im2col matrix, per-thread grad_col scratch, the
 // dLoss/dWeight staging tensor, and the packed-panel storage the blocked
-// GEMM uses. All slots have grow-once semantics — a buffer expands to the
+// GEMM uses (one scratch per pool slot for GEMMs inside parallel regions). All slots have grow-once semantics — a buffer expands to the
 // largest extent ever requested and is then recycled verbatim — so a
 // steady-state forward+backward step performs ZERO heap allocations. The
 // growth_count() counter makes that property testable: the allocation
@@ -21,6 +21,7 @@
 
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace csq {
 
@@ -57,9 +58,25 @@ class Workspace {
   const Tensor& peek(int slot) const;
 
   // Packed-panel storage for gemm/gemm_parallel calls issued by the owning
-  // layer at top level (serial per-sample GEMMs inside parallel regions use
-  // the kernels' thread-local scratch instead).
+  // layer at top level.
   GemmScratch& gemm_scratch() { return gemm_scratch_; }
+
+  // Per-pool_slot() packing scratch for the serial GEMMs a layer issues
+  // inside its batch- or channel-parallel regions. reserve_slot_gemm grows
+  // every slot's scratch for an (m, n, k) gemm on the calling thread BEFORE
+  // the region fans out (growth events count in growth_count()), so no pool
+  // thread ever grows packing storage — whichever slot runs which sample.
+  // Called inside a parallel region or under a SerialExecutionGuard (the
+  // data-parallel shards), the region runs on the calling thread alone:
+  // nothing is reserved and slot_gemm_scratch() returns null, so the GEMMs
+  // use that one thread's grow-once scratch instead of per-layer copies.
+  void reserve_slot_gemm(std::int64_t m, std::int64_t n, std::int64_t k);
+  // The calling thread's slot scratch (null: see reserve_slot_gemm).
+  GemmScratch* slot_gemm_scratch() {
+    return slot_scratch_live_
+               ? &slot_scratch_[static_cast<std::size_t>(pool_slot())]
+               : nullptr;
+  }
 
   // Number of buffer growth events since construction. A steady-state
   // training step must leave this unchanged.
@@ -88,6 +105,8 @@ class Workspace {
   std::vector<Tensor> tensor_slots_;
   std::vector<std::int64_t> tensor_high_water_;
   GemmScratch gemm_scratch_;
+  std::vector<GemmScratch> slot_scratch_;  // pool_slot_count() entries
+  bool slot_scratch_live_ = false;         // last reserve ran at top level
   std::uint64_t growth_count_ = 0;
 };
 

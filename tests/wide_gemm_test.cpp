@@ -243,8 +243,8 @@ TEST(WideGemm, S8U8PrepackedSplitsMatchSerial) {
               static_cast<std::size_t>(tc.m * tc.n), 3);
           gemm_s8u8_prepacked_parallel(Trans::no, tc.m, tc.n, tc.k, 1,
                                        packed.data(), b.data(), tc.n,
-                                       accumulate, actual.data(), tc.n,
-                                       /*scratch=*/nullptr, split, ways);
+                                       accumulate, actual.data(), tc.n, split,
+                                       ways);
           ASSERT_EQ(actual, expected)
               << "m=" << tc.m << " n=" << tc.n << " accumulate=" << accumulate
               << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -274,10 +274,10 @@ TEST(WideGemm, LowBitSplitsMatchReferenceAcrossAlphaChain) {
         std::vector<std::int32_t> actual(expected.size(), -1);
         gemm_s8u8_lowbit_prepacked_parallel(
             Trans::no, tc.m, tc.n, tc.k, 2, packed.data(), b.data(), tc.n,
-            false, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+            false, actual.data(), tc.n, split, ways);
         gemm_s8u8_lowbit_prepacked_parallel(
             Trans::no, tc.m, tc.n, tc.k, 1, packed.data(), b.data(), tc.n,
-            true, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+            true, actual.data(), tc.n, split, ways);
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -305,7 +305,7 @@ TEST(WideGemm, LowBitWideSplitsMatchReference) {
         std::vector<std::int32_t> actual(expected.size(), -1);
         gemm_s8u8_lowbit_wide_prepacked_parallel(
             Trans::no, tc.m, tc.n, tc.k, 1, packed.data(), b.data(), tc.n,
-            false, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+            false, actual.data(), tc.n, split, ways);
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -330,7 +330,7 @@ TEST(WideGemm, NibbleSplitsMatchReference) {
         std::vector<std::int32_t> actual(expected.size(), -1);
         gemm_s8u8_nibble_prepacked_parallel(
             Trans::no, tc.m, tc.n, tc.k, 1, packed.data(), b.data(), tc.n,
-            false, actual.data(), tc.n, /*scratch=*/nullptr, split, ways);
+            false, actual.data(), tc.n, split, ways);
         ASSERT_EQ(actual, expected)
             << "m=" << tc.m << " n=" << tc.n
             << " split=" << static_cast<int>(split) << " ways=" << ways;
@@ -360,7 +360,7 @@ TEST(WideGemm, PackedWeightsWideNDispatchIsBitIdentical) {
   for (const GemmSplit split : kForcedSplits) {
     std::vector<std::int32_t> pooled(serial.size(), -1);
     weights.gemm(Trans::no, n, b.data(), n, pooled.data(), n, /*pooled=*/true,
-                 /*scratch=*/nullptr, split);
+                 split);
     ASSERT_EQ(pooled, serial) << "split=" << static_cast<int>(split);
   }
 }
