@@ -44,97 +44,74 @@ ConvGeometry Conv2d::geometry_for(const Tensor& input) const {
   return geom;
 }
 
+GemmScratch* Conv2d::gemm_scratch() {
+  return inside_parallel_region() ? nullptr : &ws_.gemm_scratch();
+}
+
 Tensor Conv2d::forward(const Tensor& input, bool training) {
   const ConvGeometry geom = geometry_for(input);
+  if (!(plan_.geom == geom)) plan_ = make_conv_pack_plan(geom);
   const std::int64_t batch = input.dim(0);
-  const std::int64_t col_rows = geom.col_rows();
-  const std::int64_t col_cols = geom.col_cols();
+  const std::int64_t depth = plan_.k();
+  const std::int64_t positions = plan_.n();
   const std::int64_t out_c = config_.out_channels;
 
   const float* w_data = capture_weight_ != nullptr
                             ? capture_weight_
                             : weight_source_->weight(training).data();
 
-  // Fully overwritten below (im2col + beta=0 GEMM + bias add).
-  Tensor output =
-      Tensor::uninitialized({batch, out_c, geom.out_h(), geom.out_w()});
-  // Training caches the whole unfolded batch for backward (memory:
-  // B * K * OH*OW floats, recycled across steps). Eval never reads the
-  // columns back, so it uses small per-thread stripes instead of pinning a
-  // batch-sized buffer in the grow-once arena (think batch-256 validation
-  // passes between batch-8 training steps).
-  float* col_data = training
-                        ? ws_.tensor(kColsSlot, {batch, col_rows, col_cols})
-                              .data()
-                        : ws_.floats(kEvalColSlot,
-                                     pool_slot_count() * col_rows * col_cols);
-
-  ws_.reserve_slot_gemm(out_c, col_cols, col_rows);
-  struct ForwardContext {
-    Workspace* ws;
-    ConvGeometry geom;
+  // Pad every sample once: the GEMM's B operand now, backward's dW operand
+  // later. Single-reference captures keep the closures allocation-free.
+  struct PadContext {
+    const ConvPackPlan* plan;
     const float* in_data;
-    float* out_data;
-    float* col_data;
-    const float* w_data;
-    const float* bias;  // null when the layer has no bias
-    std::int64_t in_stride, out_stride, col_stride;
-    std::int64_t out_c, col_rows, col_cols;
-    bool batch_cols;  // col_data indexed by sample (true) or pool slot
-  } ctx;
-  ctx.ws = &ws_;
-  ctx.geom = geom;
-  ctx.in_data = input.data();
-  ctx.out_data = output.data();
-  ctx.col_data = col_data;
-  ctx.w_data = w_data;
-  ctx.bias = has_bias_ ? bias_.value.data() : nullptr;
-  ctx.in_stride = geom.channels * geom.height * geom.width;
-  ctx.out_stride = out_c * col_cols;
-  ctx.col_stride = col_rows * col_cols;
-  ctx.out_c = out_c;
-  ctx.col_rows = col_rows;
-  ctx.col_cols = col_cols;
-  ctx.batch_cols = training;
-
-  // Single-reference capture keeps the closure inside std::function's
-  // small-buffer optimization (no allocation per dispatch). The bias add is
-  // folded into the batch-parallel region instead of a serial post-pass.
-  parallel_for(0, batch, [&ctx](std::int64_t b) {
-    float* col =
-        ctx.col_data +
-        (ctx.batch_cols ? b : pool_slot()) * ctx.col_stride;
-    im2col(ctx.geom, ctx.in_data + b * ctx.in_stride, col);
-    float* out_b = ctx.out_data + b * ctx.out_stride;
-    // out_b(OC, P) = W(OC, K) * col(K, P)
-    gemm(Trans::no, Trans::no, ctx.out_c, ctx.col_cols, ctx.col_rows, 1.0f,
-         ctx.w_data, ctx.col_rows, col, ctx.col_cols, 0.0f, out_b,
-         ctx.col_cols, ctx.ws->slot_gemm_scratch());
-    if (ctx.bias != nullptr) {
-      for (std::int64_t oc = 0; oc < ctx.out_c; ++oc) {
-        float* plane = out_b + oc * ctx.col_cols;
-        const float bias_oc = ctx.bias[oc];
-        for (std::int64_t p = 0; p < ctx.col_cols; ++p) plane[p] += bias_oc;
-      }
-    }
+    float* padded;
+    std::int64_t in_stride;
+  } pctx{&plan_, input.data(),
+         ws_.floats(kPaddedSlot, batch * plan_.padded_size()),
+         geom.channels * geom.height * geom.width};
+  parallel_for(0, batch, [&pctx](std::int64_t b) {
+    pad_sample(*pctx.plan, pctx.in_data + b * pctx.in_stride,
+               pctx.padded + b * pctx.plan->padded_size());
   });
 
-  if (training) {
-    cached_geom_ = geom;
-    cached_batch_ = batch;
-  } else {
-    cached_batch_ = 0;
+  // out(OC, B*P) = W(OC, K) * [col_0 | col_1 | ...]: one GEMM whose column
+  // (b, q) lands at out[b][oc][q]. Fully overwritten (beta = 0, bias below).
+  Tensor output =
+      Tensor::uninitialized({batch, out_c, geom.out_h(), geom.out_w()});
+  gemm_ex(out_c, batch * positions, depth, 1.0f,
+          GemmA{w_data, Trans::no, depth, {}},
+          GemmB::conv(plan_, pctx.padded), 0.0f,
+          GemmC{output.data(), positions, {positions, out_c * positions}},
+          gemm_scratch(), /*pooled=*/true);
+
+  if (has_bias_) {
+    struct BiasContext {
+      float* out_data;
+      const float* bias;
+      std::int64_t out_c, positions;
+    } bctx{output.data(), bias_.value.data(), out_c, positions};
+    parallel_for(0, batch, [&bctx](std::int64_t b) {
+      for (std::int64_t oc = 0; oc < bctx.out_c; ++oc) {
+        float* plane =
+            bctx.out_data + (b * bctx.out_c + oc) * bctx.positions;
+        const float bias_oc = bctx.bias[oc];
+        for (std::int64_t p = 0; p < bctx.positions; ++p) plane[p] += bias_oc;
+      }
+    });
   }
+
+  cached_batch_ = training ? batch : 0;
   return output;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   CSQ_CHECK(cached_batch_ > 0)
       << "conv2d " << name() << ": backward without training forward";
-  const ConvGeometry geom = cached_geom_;
+  const ConvGeometry& geom = plan_.geom;
   const std::int64_t batch = cached_batch_;
-  const std::int64_t col_rows = geom.col_rows();
-  const std::int64_t col_cols = geom.col_cols();
+  const std::int64_t depth = plan_.k();
+  const std::int64_t positions = plan_.n();
   const std::int64_t out_c = config_.out_channels;
 
   CSQ_CHECK(grad_output.ndim() == 4 && grad_output.dim(0) == batch &&
@@ -147,103 +124,87 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const Tensor* weights = capture_weight_ != nullptr
                              ? nullptr
                              : &weight_source_->weight(/*training=*/true);
-  const Tensor& cols = ws_.peek(kColsSlot);
+  const float* w_data = weights != nullptr ? weights->data() : capture_weight_;
 
   // ---- input gradient: batch-parallel col2im(W^T * dOut_b) -------------
   // Zero-filled construction: col2im scatter-adds into its sample slice.
   Tensor grad_input({batch, geom.channels, geom.height, geom.width});
 
-  // Both parallel regions below run serial GEMMs on per-slot scratch.
-  ws_.reserve_slot_gemm(col_rows, col_cols, out_c);
-  ws_.reserve_slot_gemm(out_c, col_rows, col_cols);
+  // Per-slot grad_col stripes and GEMM scratch when the batch fans out; one
+  // stripe (and the thread's own scratch) when it runs on this thread.
+  const bool fan_out = !inside_parallel_region();
+  ws_.reserve_slot_gemm(depth, positions, out_c);
   struct InputGradContext {
     Workspace* ws;
-    ConvGeometry geom;
+    const ConvGeometry* geom;
     const float* w_data;
     const float* go_data;
     float* gi_data;
-    float* grad_col_base;  // pool_slot_count() stripes of col_stride floats
+    float* grad_col_base;
+    bool per_slot;
     std::int64_t out_stride, col_stride, in_stride;
-    std::int64_t out_c, col_rows, col_cols;
+    std::int64_t out_c, depth, positions;
   } ictx;
   ictx.ws = &ws_;
-  ictx.geom = geom;
-  ictx.w_data = weights != nullptr ? weights->data() : capture_weight_;
+  ictx.geom = &geom;
+  ictx.w_data = w_data;
   ictx.go_data = grad_output.data();
   ictx.gi_data = grad_input.data();
-  ictx.grad_col_base =
-      ws_.floats(kGradColSlot, pool_slot_count() * col_rows * col_cols);
-  ictx.out_stride = out_c * col_cols;
-  ictx.col_stride = col_rows * col_cols;
+  ictx.grad_col_base = ws_.floats(
+      kGradColSlot, (fan_out ? pool_slot_count() : 1) * depth * positions);
+  ictx.per_slot = fan_out;
+  ictx.out_stride = out_c * positions;
+  ictx.col_stride = depth * positions;
   ictx.in_stride = geom.channels * geom.height * geom.width;
   ictx.out_c = out_c;
-  ictx.col_rows = col_rows;
-  ictx.col_cols = col_cols;
+  ictx.depth = depth;
+  ictx.positions = positions;
 
   parallel_for(0, batch, [&ictx](std::int64_t b) {
-    float* grad_col = ictx.grad_col_base + pool_slot() * ictx.col_stride;
+    float* grad_col = ictx.grad_col_base +
+                      (ictx.per_slot ? pool_slot() : 0) * ictx.col_stride;
     // grad_col(K, P) = W^T(K, OC) * dOut_b(OC, P); A = W stored (OC, K).
-    gemm(Trans::yes, Trans::no, ictx.col_rows, ictx.col_cols, ictx.out_c,
-         1.0f, ictx.w_data, ictx.col_rows, ictx.go_data + b * ictx.out_stride,
-         ictx.col_cols, 0.0f, grad_col, ictx.col_cols,
+    gemm(Trans::yes, Trans::no, ictx.depth, ictx.positions, ictx.out_c, 1.0f,
+         ictx.w_data, ictx.depth, ictx.go_data + b * ictx.out_stride,
+         ictx.positions, 0.0f, grad_col, ictx.positions,
          ictx.ws->slot_gemm_scratch());
-    col2im(ictx.geom, grad_col, ictx.gi_data + b * ictx.in_stride);
+    col2im(*ictx.geom, grad_col, ictx.gi_data + b * ictx.in_stride);
   });
 
-  // ---- weight + bias gradients: OC-parallel over disjoint row blocks ----
-  // dW lands in the workspace staging tensor, or straight in the capture
-  // span (every row block's b == 0 GEMM overwrites, so neither is cleared).
+  // ---- weight gradient: one GEMM, the batch folded into its depth -------
+  // dW(OC, K) = dOut(OC, B*P) * [col_0 | col_1 | ...]^T, B read from the
+  // padded batch the forward kept. Lands in the workspace staging tensor,
+  // or straight in the capture span (beta = 0 overwrites either).
   Tensor* grad_weight = capture_grad_ != nullptr
                             ? nullptr
                             : &ws_.tensor(kGradWeightSlot, weights->shape());
+  const float* padded = ws_.floats(kPaddedSlot, batch * plan_.padded_size());
+  gemm_ex(out_c, depth, batch * positions, 1.0f,
+          GemmA{grad_output.data(), Trans::no, positions,
+                {positions, out_c * positions}},
+          GemmB::conv(plan_, padded, Trans::yes), 0.0f,
+          GemmC{grad_weight != nullptr ? grad_weight->data() : capture_grad_,
+                depth, {}},
+          gemm_scratch(), /*pooled=*/true);
 
-  struct WeightGradContext {
-    Workspace* ws;
-    const float* go_data;
-    const float* col_data;
-    float* gw_data;
-    float* gb_data;  // null when the layer has no bias
-    std::int64_t batch, out_stride, col_stride;
-    std::int64_t col_rows, col_cols;
-  } wctx;
-  wctx.ws = &ws_;
-  wctx.go_data = grad_output.data();
-  wctx.col_data = cols.data();
-  wctx.gw_data =
-      grad_weight != nullptr ? grad_weight->data() : capture_grad_;
-  wctx.gb_data = has_bias_ ? bias_.grad.data() : nullptr;
-  wctx.batch = batch;
-  wctx.out_stride = out_c * col_cols;
-  wctx.col_stride = col_rows * col_cols;
-  wctx.col_rows = col_rows;
-  wctx.col_cols = col_cols;
-
-  parallel_for_chunked(0, out_c, [&wctx](std::int64_t oc_begin,
-                                         std::int64_t oc_end) {
-    const std::int64_t rows = oc_end - oc_begin;
-    for (std::int64_t b = 0; b < wctx.batch; ++b) {
-      // gW[oc,:] += dot(dOut_b[oc,:], col_b[k,:]) — NT over the row block.
-      gemm(Trans::no, Trans::yes, rows, wctx.col_rows, wctx.col_cols, 1.0f,
-           wctx.go_data + b * wctx.out_stride + oc_begin * wctx.col_cols,
-           wctx.col_cols, wctx.col_data + b * wctx.col_stride, wctx.col_cols,
-           b == 0 ? 0.0f : 1.0f, wctx.gw_data + oc_begin * wctx.col_rows,
-           wctx.col_rows, wctx.ws->slot_gemm_scratch());
-    }
-    if (wctx.gb_data != nullptr) {
-      // Bias gradient folded into the same disjoint OC ownership: each
-      // channel sums its dOut plane over the batch in a fixed order, so
-      // pooled and serial execution agree.
-      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        float acc = 0.0f;
-        for (std::int64_t b = 0; b < wctx.batch; ++b) {
-          const float* plane =
-              wctx.go_data + b * wctx.out_stride + oc * wctx.col_cols;
-          for (std::int64_t p = 0; p < wctx.col_cols; ++p) acc += plane[p];
-        }
-        wctx.gb_data[oc] += acc;
+  if (has_bias_) {
+    // Each channel sums its dOut planes over the batch in a fixed order, so
+    // pooled and serial execution agree.
+    struct BiasGradContext {
+      const float* go_data;
+      float* gb_data;
+      std::int64_t batch, out_c, positions;
+    } bctx{grad_output.data(), bias_.grad.data(), batch, out_c, positions};
+    parallel_for(0, out_c, [&bctx](std::int64_t oc) {
+      float acc = 0.0f;
+      for (std::int64_t b = 0; b < bctx.batch; ++b) {
+        const float* plane =
+            bctx.go_data + (b * bctx.out_c + oc) * bctx.positions;
+        for (std::int64_t p = 0; p < bctx.positions; ++p) acc += plane[p];
       }
-    }
-  });
+      bctx.gb_data[oc] += acc;
+    });
+  }
   if (grad_weight != nullptr) weight_source_->backward(*grad_weight);
 
   cached_batch_ = 0;

@@ -1,16 +1,24 @@
-// 2-D convolution lowered to GEMM via im2col.
+// 2-D convolution as implicit GEMM over a once-padded input.
 //
 // Input  (B, IC, H, W) -> Output (B, OC, OH, OW).
-// The forward pass parallelizes over the batch (each sample runs im2col,
-// one serial blocked GEMM and its bias add); the backward pass parallelizes
-// the input gradient over the batch and the weight+bias gradients over
-// output channels so no accumulation races occur.
+// Forward pads each sample once into the layer Workspace (B x IC x (H+2p) x
+// (W+2p)) and runs ONE GEMM with the batch folded into its columns:
+// out(OC, B*OH*OW) = W(OC, IC*k*k) * [col_0 | col_1 | ...], where col_b is
+// sample b's im2col matrix, packed straight from the padded copy through a
+// ConvPackPlan (tensor/im2col.h) and never materialized; each column lands
+// in its sample's output plane. The padded copy is the only per-batch state
+// backward keeps. dW is one GEMM too, with the batch folded into its depth:
+// dW(OC, K) = dOut(OC, B*OH*OW) * [col_0 | col_1 | ...]^T, reading the same
+// padded copy transposed. Both GEMMs are pooled through the GEMM split
+// policy at top level and run serially inside a parallel region (the
+// data-parallel shards). The input gradient stays batch-parallel: per sample
+// grad_col = W^T * dOut_b into a per-slot stripe, then col2im.
 //
-// Every recurring buffer — the cached im2col matrix, the per-thread
-// grad_col stripes, the per-slot GEMM packing scratch and the dW staging
-// tensor — lives in a per-layer Workspace with grow-once semantics, sized on
-// the calling thread before each parallel region, so steady-state training
-// steps perform zero heap allocations.
+// Every recurring buffer — the padded input, the per-slot grad_col
+// stripes, the GEMM packing scratch and the dW staging tensor — lives in a
+// per-layer Workspace with grow-once semantics, sized on the calling thread
+// before each parallel region, so steady-state training steps perform zero
+// heap allocations.
 //
 // Weight capture (set_weight_capture) lets the data-parallel trainer run
 // the layer on a weight it materialized once for the whole step, and
@@ -63,21 +71,24 @@ class Conv2d final : public Module {
 
  private:
   // Workspace slot indices.
-  enum TensorSlot : int { kColsSlot = 0, kGradWeightSlot = 1 };
-  enum FloatSlot : int { kGradColSlot = 0, kEvalColSlot = 1 };
+  enum TensorSlot : int { kGradWeightSlot = 0 };
+  enum FloatSlot : int { kPaddedSlot = 0, kGradColSlot = 1 };
 
   ConvGeometry geometry_for(const Tensor& input) const;
+  // Packing scratch for this layer's one-call GEMMs: the workspace's at top
+  // level, the calling thread's own (null) inside a parallel region.
+  GemmScratch* gemm_scratch();
 
   Conv2dConfig config_;
   WeightSourcePtr weight_source_;
   Parameter bias_;  // empty unless config_.bias
   bool has_bias_ = false;
 
-  // Per-layer scratch arena; kColsSlot doubles as the training-mode cache
-  // of the unfolded inputs (B, K, OH*OW), consumed by backward.
+  // Per-layer scratch arena; kPaddedSlot holds the padded training batch
+  // (B x plan_.padded_size() floats), consumed by backward.
   Workspace ws_;
-  ConvGeometry cached_geom_;  // geometry of the cached batch
-  std::int64_t cached_batch_ = 0;
+  ConvPackPlan plan_;  // built for the last forward's geometry
+  std::int64_t cached_batch_ = 0;  // 0: no training forward to backprop
 
   // Weight-capture spans (null -> the source materializes and backpropagates).
   const float* capture_weight_ = nullptr;

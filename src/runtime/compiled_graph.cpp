@@ -417,7 +417,7 @@ class ConvOp final : public Op {
   // plan. Unpadded convolutions read the edge sample itself.
   bool needs_stripes() const { return plan_.needs_padding(); }
   std::int64_t stripe_bytes() const {
-    return (plan_.padded_bytes() + 63) / 64 * 64;
+    return (plan_.padded_size() + 63) / 64 * 64;
   }
 
   void prepare(CompiledGraph::Impl& g, std::int64_t batch) override {

@@ -813,9 +813,17 @@ ServeStatus BatchingServer::try_infer(const ModelHandle& handle,
   if (!shard_ref) return ServeStatus::kShuttingDown;
   Shard& shard = *shard_ref;
 
+  // Deadlines beyond half the clock's range are unbounded in practice;
+  // clamping them keeps the conversion to clock ticks from overflowing.
+  constexpr std::int64_t kMaxDeadlineUs =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::duration::max())
+          .count() /
+      2;
   const bool bounded = deadline_us >= 0;
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::microseconds(bounded ? deadline_us : 0);
+      Clock::now() + std::chrono::microseconds(
+                         bounded ? std::min(deadline_us, kMaxDeadlineUs) : 0);
 
   Request request;
   request.sample = sample;

@@ -1,8 +1,8 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-
 #include <cstring>
+#include <limits>
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -31,16 +31,39 @@ void ensure_size(std::vector<float>& buffer, std::size_t count) {
   if (buffer.size() < count) buffer.resize(count);
 }
 
-// Scales a row block of C by beta (handles beta == 0 without reading C).
-void apply_beta(std::int64_t m_begin, std::int64_t m_end, std::int64_t n,
-                float beta, float* c, std::int64_t ldc) {
-  if (beta == 1.0f) return;
-  for (std::int64_t i = m_begin; i < m_end; ++i) {
-    float* row = c + i * ldc;
-    if (beta == 0.0f) {
-      std::fill(row, row + n, 0.0f);
-    } else {
-      for (std::int64_t j = 0; j < n; ++j) row[j] *= beta;
+// Folded-column addressing (ColumnFold): column x of the logical matrix
+// sits at this offset from its row start, and fold_run(f, x) columns from x
+// onward are contiguous there.
+inline std::int64_t fold_offset(const ColumnFold& f, std::int64_t x) {
+  return f.cols == 0 ? x : x / f.cols * f.stride + x % f.cols;
+}
+inline std::int64_t fold_run(const ColumnFold& f, std::int64_t x) {
+  return f.cols == 0 ? std::numeric_limits<std::int64_t>::max()
+                     : f.cols - x % f.cols;
+}
+
+// Everything one float GEMM call's tasks share.
+struct FloatGemmArgs {
+  std::int64_t m, n, k;
+  float alpha, beta;
+  GemmA a;
+  GemmB b;
+  GemmC c;
+};
+
+// Scales C by beta (handles beta == 0 without reading C).
+void apply_beta(const FloatGemmArgs& g) {
+  if (g.beta == 1.0f) return;
+  for (std::int64_t i = 0; i < g.m; ++i) {
+    for (std::int64_t x = 0; x < g.n;) {
+      const std::int64_t run = std::min(g.n - x, fold_run(g.c.fold, x));
+      float* row = g.c.data + i * g.c.ldc + fold_offset(g.c.fold, x);
+      if (g.beta == 0.0f) {
+        std::fill(row, row + run, 0.0f);
+      } else {
+        for (std::int64_t j = 0; j < run; ++j) row[j] *= g.beta;
+      }
+      x += run;
     }
   }
 }
@@ -121,16 +144,24 @@ TileGrid make_tile_grid(GemmSplit split, std::int64_t m, std::int64_t n,
 // Rows/columns beyond the matrix edge are zero-filled so the micro-kernel
 // always runs full MR x NR tiles.
 
-void pack_a_panel(Trans trans, const float* a, std::int64_t lda,
-                  std::int64_t ic, std::int64_t pc, std::int64_t mc,
-                  std::int64_t kc, float* dst) {
+void pack_a_panel(const GemmA& a, std::int64_t ic, std::int64_t pc,
+                  std::int64_t mc, std::int64_t kc, float* dst) {
   for (std::int64_t r = 0; r < mc; r += kGemmMR) {
     const std::int64_t rows = std::min(kGemmMR, mc - r);
-    if (trans == Trans::no) {
-      // op(A)[i, p] = a[(ic + i) * lda + pc + p]: row-contiguous reads.
+    if (a.trans == Trans::no) {
+      // op(A)[i, p] = a[(ic + i) * lda + fold(pc + p)]: row-contiguous
+      // reads, one run per fold block the depth range touches.
       for (std::int64_t i = 0; i < rows; ++i) {
-        const float* src = a + (ic + r + i) * lda + pc;
-        for (std::int64_t p = 0; p < kc; ++p) dst[p * kGemmMR + i] = src[p];
+        const float* row = a.data + (ic + r + i) * a.lda;
+        for (std::int64_t p = 0; p < kc;) {
+          const std::int64_t run =
+              std::min(kc - p, fold_run(a.fold, pc + p));
+          const float* src = row + fold_offset(a.fold, pc + p);
+          for (std::int64_t q = 0; q < run; ++q) {
+            dst[(p + q) * kGemmMR + i] = src[q];
+          }
+          p += run;
+        }
       }
       for (std::int64_t i = rows; i < kGemmMR; ++i) {
         for (std::int64_t p = 0; p < kc; ++p) dst[p * kGemmMR + i] = 0.0f;
@@ -138,7 +169,7 @@ void pack_a_panel(Trans trans, const float* a, std::int64_t lda,
     } else {
       // op(A)[i, p] = a[(pc + p) * lda + ic + i]: contiguous in i.
       for (std::int64_t p = 0; p < kc; ++p) {
-        const float* src = a + (pc + p) * lda + ic + r;
+        const float* src = a.data + (pc + p) * a.lda + ic + r;
         float* d = dst + p * kGemmMR;
         std::int64_t i = 0;
         for (; i < rows; ++i) d[i] = src[i];
@@ -174,6 +205,105 @@ void pack_b_panel(Trans trans, const float* b, std::int64_t ldb,
       }
     }
     dst += kGemmNR * kc;
+  }
+}
+
+// Offsets of consecutive columns j, j+1, ... of a padded batch's
+// side-by-side im2col matrices from a tap's base: position j % n() of
+// sample j / n(), i.e. (j / n()) * padded_size() + plan.lane(j % n()).
+// Divides once at construction and then steps (ox, oy, sample).
+class BatchLanes {
+ public:
+  BatchLanes(const ConvPackPlan& plan, std::int64_t j)
+      : out_w_(plan.geom.out_w()),
+        out_h_(plan.geom.out_h()),
+        row_step_(plan.padded_w * plan.geom.stride),
+        stride_(plan.geom.stride),
+        sample_step_(plan.padded_size()) {
+    const std::int64_t q = j % plan.n();
+    sample_base_ = j / plan.n() * sample_step_;
+    oy_ = q / out_w_;
+    ox_ = q % out_w_;
+  }
+  std::int64_t operator*() const {
+    return sample_base_ + oy_ * row_step_ + ox_ * stride_;
+  }
+  void operator++() {
+    if (++ox_ < out_w_) return;
+    ox_ = 0;
+    if (++oy_ < out_h_) return;
+    oy_ = 0;
+    sample_base_ += sample_step_;
+  }
+
+ private:
+  std::int64_t out_w_, out_h_, row_step_, stride_, sample_step_;
+  std::int64_t sample_base_, oy_, ox_;
+};
+
+// The implicit-GEMM B operand (GemmB::conv): the side-by-side im2col
+// matrices of a padded batch, read through the plan. Trans::no (forward):
+// depth = taps, columns = (sample, position), so each micro-panel builds
+// its 8-entry lane table once and then copies one contiguous 8-float row
+// per tap or gathers 8 lanes. Trans::yes (dW): depth = (sample, position),
+// columns = taps, so the block's depth lanes are built once and every
+// micro-panel row gathers its 8 taps around one lane.
+void pack_b_conv(const GemmB& b, std::int64_t pc, std::int64_t jc,
+                 std::int64_t kc, std::int64_t nc, float* dst) {
+  const ConvPackPlan& plan = *b.plan;
+  const std::int32_t* tap = plan.tap.data();
+  if (b.trans == Trans::no) {
+    BatchLanes next(plan, jc);
+    for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+      const std::int64_t cols = std::min(kGemmNR, nc - s);
+      std::int64_t lane[kGemmNR];
+      bool contiguous = cols == kGemmNR;
+      for (std::int64_t j = 0; j < cols; ++j, ++next) {
+        lane[j] = *next;
+        contiguous = contiguous && lane[j] == lane[0] + j;
+      }
+      if (contiguous) {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          std::memcpy(dst + p * kGemmNR, b.data + tap[pc + p] + lane[0],
+                      sizeof(float) * kGemmNR);
+        }
+      } else {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          const float* src = b.data + tap[pc + p];
+          float* d = dst + p * kGemmNR;
+          std::int64_t j = 0;
+          for (; j < cols; ++j) d[j] = src[lane[j]];
+          for (; j < kGemmNR; ++j) d[j] = 0.0f;
+        }
+      }
+      dst += kGemmNR * kc;
+    }
+    return;
+  }
+  std::int64_t lane[kGemmKC];
+  BatchLanes next(plan, pc);
+  for (std::int64_t p = 0; p < kc; ++p, ++next) lane[p] = *next;
+  for (std::int64_t s = 0; s < nc; s += kGemmNR) {
+    const std::int64_t cols = std::min(kGemmNR, nc - s);
+    const std::int32_t* taps = tap + jc + s;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const float* src = b.data + lane[p];
+      float* d = dst + p * kGemmNR;
+      std::int64_t j = 0;
+      for (; j < cols; ++j) d[j] = src[taps[j]];
+      for (; j < kGemmNR; ++j) d[j] = 0.0f;
+    }
+    dst += kGemmNR * kc;
+  }
+}
+
+// Packs op(B)[pc:pc+kc, jc:jc+nc] from either source into B~ layout.
+void pack_b_block(const GemmB& b, std::int64_t pc, std::int64_t jc,
+                  std::int64_t kc, std::int64_t nc, float* dst) {
+  if (b.plan != nullptr) {
+    pack_b_conv(b, pc, jc, kc, nc, dst);
+  } else {
+    pack_b_panel(b.trans, b.data, b.ldb, pc, jc, kc, nc, dst);
   }
 }
 
@@ -267,22 +397,41 @@ inline void update_c_tile(float* c, std::int64_t ldc, const float* acc,
   }
 }
 
+// Writes one micro-tile of C at (row, col): one update per run of
+// contiguous columns (a single run unless the tile crosses a fold block).
+inline void store_c_tile(const FloatGemmArgs& g, std::int64_t row,
+                         std::int64_t col, const float* acc,
+                         std::int64_t m_sub, std::int64_t n_sub,
+                         float beta_eff) {
+  float* c_row = g.c.data + row * g.c.ldc;
+  for (std::int64_t x = 0; x < n_sub;) {
+    const std::int64_t run = std::min(n_sub - x, fold_run(g.c.fold, col + x));
+    update_c_tile(c_row + fold_offset(g.c.fold, col + x), g.c.ldc, acc + x,
+                  m_sub, run, g.alpha, beta_eff);
+    x += run;
+  }
+}
+
 // Elements of one MC-tall packed A panel (the per-task A stripe).
 inline std::int64_t a_stripe_elems(std::int64_t m, std::int64_t k) {
   const std::int64_t rows = std::min(m, kGemmMC);
   return (rows + kGemmMR - 1) / kGemmMR * kGemmMR * std::min(k, kGemmKC);
 }
 
+// Elements of the packed B block one (jc, pc) sweep needs.
+inline std::int64_t b_block_elems(std::int64_t n, std::int64_t k) {
+  return (std::min(n, kGemmNC) + kGemmNR - 1) / kGemmNR * kGemmNR *
+         std::min(k, kGemmKC);
+}
+
 // One MC-tall row tile of C inside a (jc, pc) panel: packs its A panel into
 // `packed_a` (an a_stripe_elems stripe) and sweeps the jr/ir micro-tile
 // grid. `packed_b` is read-only shared state.
-void run_ic_tile(Trans trans_a, const float* a, std::int64_t lda,
-                 std::int64_t ic, std::int64_t pc, std::int64_t jc,
-                 std::int64_t m, std::int64_t kc, std::int64_t nc, float alpha,
-                 float beta_eff, const float* packed_b, float* c,
-                 std::int64_t ldc, float* packed_a) {
-  const std::int64_t mc = std::min(kGemmMC, m - ic);
-  pack_a_panel(trans_a, a, lda, ic, pc, mc, kc, packed_a);
+void run_ic_tile(const FloatGemmArgs& g, std::int64_t ic, std::int64_t pc,
+                 std::int64_t jc, std::int64_t kc, std::int64_t nc,
+                 float beta_eff, const float* packed_b, float* packed_a) {
+  const std::int64_t mc = std::min(kGemmMC, g.m - ic);
+  pack_a_panel(g.a, ic, pc, mc, kc, packed_a);
 
   float acc[kGemmMR * kGemmNR];
   for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
@@ -292,8 +441,7 @@ void run_ic_tile(Trans trans_a, const float* a, std::int64_t lda,
       const std::int64_t m_sub = std::min(kGemmMR, mc - ir);
       const float* pa = packed_a + (ir / kGemmMR) * kGemmMR * kc;
       micro_kernel(pa, pb, kc, acc);
-      update_c_tile(c + (ic + ir) * ldc + jc + jr, ldc, acc, m_sub, n_sub,
-                    alpha, beta_eff);
+      store_c_tile(g, ic + ir, jc + jr, acc, m_sub, n_sub, beta_eff);
     }
   }
 }
@@ -305,109 +453,68 @@ void run_ic_tile(Trans trans_a, const float* a, std::int64_t lda,
 // never shared; the stripes are sized here, before the fan-out), and runs
 // the ascending pc loop itself — see the TileGrid comment for the
 // bit-identity argument.
-void gemm_blocked_grid(Trans trans_a, Trans trans_b, std::int64_t m,
-                       std::int64_t n, std::int64_t k, float alpha,
-                       const float* a, std::int64_t lda, const float* b,
-                       std::int64_t ldb, float beta, float* c,
-                       std::int64_t ldc, GemmScratch& shared,
+void gemm_blocked_grid(const FloatGemmArgs& g, GemmScratch& shared,
                        const TileGrid& grid) {
-  const std::int64_t kc_max = std::min(k, kGemmKC);
-  const std::int64_t stripe_elems = grid.panels_per_stripe * kGemmNR * kc_max;
-  const std::int64_t a_stripe = a_stripe_elems(m, k);
+  const std::int64_t stripe_elems =
+      grid.panels_per_stripe * kGemmNR * std::min(g.k, kGemmKC);
+  const std::int64_t a_stripe = a_stripe_elems(g.m, g.k);
   ensure_size(shared.packed_b,
               static_cast<std::size_t>(pool_slot_count() * stripe_elems));
   ensure_size(shared.packed_a,
               static_cast<std::size_t>(pool_slot_count() * a_stripe));
-
-  struct GridContext {
-    Trans trans_a, trans_b;
-    const float* a;
-    std::int64_t lda;
-    const float* b;
-    std::int64_t ldb, m, n, k;
-    float alpha, beta;
-    float* c;
-    std::int64_t ldc;
-    float* packed_b_base;
-    float* packed_a_base;
-    std::int64_t stripe_elems, a_stripe, ic_tiles;
-    TileGrid grid;
-  } ctx;
-  ctx.trans_a = trans_a;
-  ctx.trans_b = trans_b;
-  ctx.a = a;
-  ctx.lda = lda;
-  ctx.b = b;
-  ctx.ldb = ldb;
-  ctx.m = m;
-  ctx.n = n;
-  ctx.k = k;
-  ctx.alpha = alpha;
-  ctx.beta = beta;
-  ctx.c = c;
-  ctx.ldc = ldc;
-  ctx.packed_b_base = shared.packed_b.data();
-  ctx.packed_a_base = shared.packed_a.data();
-  ctx.stripe_elems = stripe_elems;
-  ctx.a_stripe = a_stripe;
-  ctx.ic_tiles = (m + kGemmMC - 1) / kGemmMC;
-  ctx.grid = grid;
-  parallel_for_chunked(
-      0, grid.tasks(), [&ctx](std::int64_t begin, std::int64_t end) {
-        float* stripe = ctx.packed_b_base + pool_slot() * ctx.stripe_elems;
-        float* a_stripe = ctx.packed_a_base + pool_slot() * ctx.a_stripe;
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t g = t / ctx.grid.col_stripes;
-          const std::int64_t s = t % ctx.grid.col_stripes;
-          const std::int64_t jc = s * ctx.grid.panels_per_stripe * kGemmNR;
-          const std::int64_t nc =
-              std::min(ctx.grid.panels_per_stripe * kGemmNR, ctx.n - jc);
-          const std::int64_t tile_begin = g * ctx.grid.tiles_per_group;
-          const std::int64_t tile_end = std::min(
-              tile_begin + ctx.grid.tiles_per_group, ctx.ic_tiles);
-          for (std::int64_t pc = 0; pc < ctx.k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, ctx.k - pc);
-            pack_b_panel(ctx.trans_b, ctx.b, ctx.ldb, pc, jc, kc, nc, stripe);
-            const float beta_eff = pc == 0 ? ctx.beta : 1.0f;
-            for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
-              run_ic_tile(ctx.trans_a, ctx.a, ctx.lda, tt * kGemmMC, pc, jc,
-                          ctx.m, kc, nc, ctx.alpha, beta_eff, stripe, ctx.c,
-                          ctx.ldc, a_stripe);
-            }
-          }
+  float* const packed_b_base = shared.packed_b.data();
+  float* const packed_a_base = shared.packed_a.data();
+  const std::int64_t ic_tiles = (g.m + kGemmMC - 1) / kGemmMC;
+  parallel_for_chunked(0, grid.tasks(), [&](std::int64_t begin,
+                                            std::int64_t end) {
+    float* stripe = packed_b_base + pool_slot() * stripe_elems;
+    float* a_panel = packed_a_base + pool_slot() * a_stripe;
+    for (std::int64_t t = begin; t < end; ++t) {
+      const std::int64_t row_group = t / grid.col_stripes;
+      const std::int64_t jc =
+          t % grid.col_stripes * grid.panels_per_stripe * kGemmNR;
+      const std::int64_t nc =
+          std::min(grid.panels_per_stripe * kGemmNR, g.n - jc);
+      const std::int64_t tile_begin = row_group * grid.tiles_per_group;
+      const std::int64_t tile_end =
+          std::min(tile_begin + grid.tiles_per_group, ic_tiles);
+      for (std::int64_t pc = 0; pc < g.k; pc += kGemmKC) {
+        const std::int64_t kc = std::min(kGemmKC, g.k - pc);
+        pack_b_block(g.b, pc, jc, kc, nc, stripe);
+        const float beta_eff = pc == 0 ? g.beta : 1.0f;
+        for (std::int64_t tt = tile_begin; tt < tile_end; ++tt) {
+          run_ic_tile(g, tt * kGemmMC, pc, jc, kc, nc, beta_eff, stripe,
+                      a_panel);
         }
-      });
+      }
+    }
+  });
 }
 
-// Shared driver for the serial and pooled paths. The jc/pc loop nest runs on
-// the calling thread (B is packed once per (jc, pc) and reused across the
-// whole ic sweep); the ic tiles either run in order (serial) or are
-// distributed across the pool, each packing A into its pool_slot() stripe.
-// Both orders compute each C element with an identical floating-point
-// operation sequence, so results are bit-identical. The kCols/kGrid splits
-// route to gemm_blocked_grid instead — same operation sequence per element,
-// different task decomposition.
-void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a,
-                  std::int64_t lda, const float* b, std::int64_t ldb,
-                  float beta, float* c, std::int64_t ldc, GemmScratch* scratch,
-                  bool pooled, GemmSplit split = GemmSplit::kRows,
-                  int split_ways = 0) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0f || k == 0) {
-    apply_beta(0, m, n, beta, c, ldc);
+// The float driver, for every operand source and both the serial and the
+// pooled paths. The jc/pc loop nest runs on the calling thread (B is packed
+// once per (jc, pc) and reused across the whole ic sweep); the ic tiles
+// either run in order (serial) or are distributed across the pool, each
+// packing A into its pool_slot() stripe. Both orders compute each C element
+// with an identical floating-point operation sequence, so results are
+// bit-identical. The kCols/kGrid splits route to gemm_blocked_grid instead —
+// same operation sequence per element, different task decomposition.
+void gemm_blocked(const FloatGemmArgs& g, GemmScratch* scratch, bool pooled,
+                  GemmSplit split, int split_ways) {
+  if (g.m == 0 || g.n == 0) return;
+  if (g.alpha == 0.0f || g.k == 0) {
+    apply_beta(g);
     return;
   }
   GemmScratch& shared = scratch != nullptr ? *scratch : local_scratch();
 
   if (pooled) {
     const int ways = resolve_split_ways(split_ways);
-    if (split == GemmSplit::kAuto) split = gemm_choose_split(m, n, ways);
+    if (split == GemmSplit::kAuto) split = gemm_choose_split(g.m, g.n, ways);
     if (split != GemmSplit::kRows) {
-      const TileGrid grid = make_tile_grid(split, m, n, ways);
+      const TileGrid grid = make_tile_grid(split, g.m, g.n, ways);
       if (grid.tasks() > 1) {
-        gemm_blocked_grid(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                          beta, c, ldc, shared, grid);
+        gemm_blocked_grid(g, shared, grid);
         return;
       }
       // A 1-task grid means the shape cannot use this split; fall through
@@ -415,71 +522,40 @@ void gemm_blocked(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
     }
   }
 
-  const std::int64_t ic_tiles = (m + kGemmMC - 1) / kGemmMC;
+  const std::int64_t ic_tiles = (g.m + kGemmMC - 1) / kGemmMC;
   const bool fan_out = pooled && ic_tiles > 1;
-  const std::int64_t a_stripe = a_stripe_elems(m, k);
+  const std::int64_t a_stripe = a_stripe_elems(g.m, g.k);
   ensure_size(shared.packed_a,
               static_cast<std::size_t>((fan_out ? pool_slot_count() : 1) *
                                        a_stripe));
   ensure_size(shared.packed_b,
-              static_cast<std::size_t>(
-                  (std::min(n, kGemmNC) + kGemmNR - 1) / kGemmNR * kGemmNR *
-                  std::min(k, kGemmKC)));
-  for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const std::int64_t nc = std::min(kGemmNC, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, k - pc);
-      pack_b_panel(trans_b, b, ldb, pc, jc, kc, nc, shared.packed_b.data());
-      const float beta_eff = pc == 0 ? beta : 1.0f;
-
+              static_cast<std::size_t>(b_block_elems(g.n, g.k)));
+  float* const packed_b = shared.packed_b.data();
+  float* const packed_a_base = shared.packed_a.data();
+  for (std::int64_t jc = 0; jc < g.n; jc += kGemmNC) {
+    const std::int64_t nc = std::min(kGemmNC, g.n - jc);
+    for (std::int64_t pc = 0; pc < g.k; pc += kGemmKC) {
+      const std::int64_t kc = std::min(kGemmKC, g.k - pc);
+      pack_b_block(g.b, pc, jc, kc, nc, packed_b);
+      const float beta_eff = pc == 0 ? g.beta : 1.0f;
       if (!fan_out) {
         for (std::int64_t t = 0; t < ic_tiles; ++t) {
-          run_ic_tile(trans_a, a, lda, t * kGemmMC, pc, jc, m, kc, nc, alpha,
-                      beta_eff, shared.packed_b.data(), c, ldc,
-                      shared.packed_a.data());
+          run_ic_tile(g, t * kGemmMC, pc, jc, kc, nc, beta_eff, packed_b,
+                      packed_a_base);
         }
-      } else {
-        // Each worker packs A into its own pool_slot() stripe; every C
-        // element belongs to exactly one ic tile, so there are no write
-        // conflicts and no order dependence.
-        struct TileContext {
-          Trans trans_a;
-          const float* a;
-          std::int64_t lda, pc, jc, m, kc, nc;
-          float alpha, beta_eff;
-          const float* packed_b;
-          float* packed_a_base;
-          std::int64_t a_stripe;
-          float* c;
-          std::int64_t ldc;
-        } ctx;
-        ctx.trans_a = trans_a;
-        ctx.a = a;
-        ctx.lda = lda;
-        ctx.pc = pc;
-        ctx.jc = jc;
-        ctx.m = m;
-        ctx.kc = kc;
-        ctx.nc = nc;
-        ctx.alpha = alpha;
-        ctx.beta_eff = beta_eff;
-        ctx.packed_b = shared.packed_b.data();
-        ctx.packed_a_base = shared.packed_a.data();
-        ctx.a_stripe = a_stripe;
-        ctx.c = c;
-        ctx.ldc = ldc;
-        parallel_for_chunked(
-            0, ic_tiles, [&ctx](std::int64_t begin, std::int64_t end) {
-              float* a_stripe =
-                  ctx.packed_a_base + pool_slot() * ctx.a_stripe;
-              for (std::int64_t t = begin; t < end; ++t) {
-                run_ic_tile(ctx.trans_a, ctx.a, ctx.lda, t * kGemmMC, ctx.pc,
-                            ctx.jc, ctx.m, ctx.kc, ctx.nc, ctx.alpha,
-                            ctx.beta_eff, ctx.packed_b, ctx.c, ctx.ldc,
-                            a_stripe);
-              }
-            });
+        continue;
       }
+      // Each worker packs A into its own pool_slot() stripe; every C
+      // element belongs to exactly one ic tile, so there are no write
+      // conflicts and no order dependence.
+      parallel_for_chunked(0, ic_tiles, [&](std::int64_t begin,
+                                            std::int64_t end) {
+        float* a_panel = packed_a_base + pool_slot() * a_stripe;
+        for (std::int64_t t = begin; t < end; ++t) {
+          run_ic_tile(g, t * kGemmMC, pc, jc, kc, nc, beta_eff, packed_b,
+                      a_panel);
+        }
+      });
     }
   }
 }
@@ -489,6 +565,19 @@ void check_extents(Trans trans_a, Trans trans_b, std::int64_t m,
   CSQ_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm: negative extent";
   CSQ_CHECK(trans_a == Trans::no || trans_b == Trans::no)
       << "gemm TT is not implemented (unused in this library)";
+}
+
+// A conv B operand covers whole samples: op(B) is k() x (samples * n()) for
+// Trans::no and its transpose for Trans::yes.
+void check_conv_b(const ConvPackPlan& plan, Trans trans, std::int64_t n,
+                  std::int64_t k) {
+  const bool whole = trans == Trans::no
+                         ? k == plan.k() && n % plan.n() == 0
+                         : n == plan.k() && k % plan.n() == 0;
+  CSQ_CHECK(whole) << "gemm: conv operand of " << plan.k() << " taps x "
+                   << plan.n() << " positions per sample does not cover a "
+                   << k << "x" << n << (trans == Trans::no ? "" : " (T)")
+                   << " B";
 }
 
 // Integer-path extents: the exactness contract (see gemm.h) is derived for
@@ -524,11 +613,6 @@ void check_int_extents(Trans trans_b, std::int64_t m, std::int64_t n,
 //
 // A~ pair layout: panels MR-tall; entry (p, i) at [(p/2)*MR + i]*2 + p%2.
 // B~ pair layout: one NR-wide panel; entry (p, j) at [(p/2)*NR + j]*2 + p%2.
-
-IntGemmScratch& local_int_scratch() {
-  thread_local IntGemmScratch scratch;
-  return scratch;
-}
 
 // Depth extent after pairing (elements per packed row/column).
 inline std::int64_t paired_kc(std::int64_t kc) { return (kc + 1) & ~1; }
@@ -1301,9 +1385,9 @@ void gemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, std::int64_t lda,
           const float* b, std::int64_t ldb, float beta, float* c,
           std::int64_t ldc, GemmScratch* scratch) {
-  check_extents(trans_a, trans_b, m, n, k);
-  gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-               scratch, /*pooled=*/false);
+  gemm_ex(m, n, k, alpha, GemmA{a, trans_a, lda, {}},
+          GemmB::dense(trans_b, b, ldb), beta, GemmC{c, ldc, {}}, scratch,
+          /*pooled=*/false);
 }
 
 void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
@@ -1311,23 +1395,43 @@ void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
                    std::int64_t lda, const float* b, std::int64_t ldb,
                    float beta, float* c, std::int64_t ldc,
                    GemmScratch* scratch, GemmSplit split, int split_ways) {
-  check_extents(trans_a, trans_b, m, n, k);
-  // Only fan out when there is enough arithmetic to amortize the pool wakeup.
-  const std::int64_t flops = 2 * m * n * k;
-  const bool pooled = flops >= (1 << 18) && !inside_parallel_region();
-  gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-               scratch, pooled, split, split_ways);
+  gemm_ex(m, n, k, alpha, GemmA{a, trans_a, lda, {}},
+          GemmB::dense(trans_b, b, ldb), beta, GemmC{c, ldc, {}}, scratch,
+          /*pooled=*/true, split, split_ways);
 }
 
+void gemm_ex(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+             const GemmA& a, const GemmB& b, float beta, const GemmC& c,
+             GemmScratch* scratch, bool pooled, GemmSplit split,
+             int split_ways) {
+  check_extents(a.trans, b.trans, m, n, k);
+  CSQ_CHECK(a.fold.cols >= 0 && c.fold.cols >= 0 &&
+            (a.fold.cols == 0 || a.trans == Trans::no))
+      << "gemm: a column fold needs a non-transposed A";
+  if (b.plan != nullptr) check_conv_b(*b.plan, b.trans, n, k);
+  // Only fan out when there is enough arithmetic to amortize the pool wakeup.
+  const bool fan_out =
+      pooled && 2 * m * n * k >= (1 << 18) && !inside_parallel_region();
+  gemm_blocked(FloatGemmArgs{m, n, k, alpha, beta, a, b, c}, scratch, fan_out,
+               split, split_ways);
+}
+
+void gemm_pack_b_panel(const GemmB& b, std::int64_t k, std::int64_t n,
+                       std::int64_t pc, std::int64_t j0, std::int64_t kc,
+                       float* dst) {
+  CSQ_CHECK(kc > 0 && kc <= kGemmKC && pc >= 0 && pc + kc <= k && j0 >= 0 &&
+            j0 % kGemmNR == 0 && j0 < n)
+      << "gemm_pack_b_panel: bad panel (pc " << pc << ", j0 " << j0
+      << ", kc " << kc << ", k " << k << ", n " << n << ")";
+  if (b.plan != nullptr) check_conv_b(*b.plan, b.trans, n, k);
+  pack_b_block(b, pc, j0, kc, std::min(kGemmNR, n - j0), dst);
+}
 
 void gemm_scratch_reserve(GemmScratch& scratch, std::int64_t m,
                           std::int64_t n, std::int64_t k) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   ensure_size(scratch.packed_a, static_cast<std::size_t>(a_stripe_elems(m, k)));
-  ensure_size(scratch.packed_b,
-              static_cast<std::size_t>((std::min(n, kGemmNC) + kGemmNR - 1) /
-                                       kGemmNR * kGemmNR *
-                                       std::min(k, kGemmKC)));
+  ensure_size(scratch.packed_b, static_cast<std::size_t>(b_block_elems(n, k)));
 }
 
 void gemm_s8u8_packed(IntKernel kernel, std::int64_t m, std::int64_t n,
@@ -1368,49 +1472,6 @@ void gemm_s8u8_pack_b_panel(IntKernel kernel, const IntGemmB& b,
   } else {
     pack_b_micro_panel(kernel, DenseB(b, n), pc, j0, kc, dst);
   }
-}
-
-namespace {
-
-// The un-prepacked entry points pack A whole on the calling thread, then run
-// the prepacked driver.
-void gemm_s8u8_unpacked(Trans trans_b, std::int64_t m, std::int64_t n,
-                        std::int64_t k, std::int32_t alpha,
-                        const std::int8_t* a, std::int64_t lda,
-                        const std::uint8_t* b, std::int64_t ldb,
-                        bool accumulate, std::int32_t* c, std::int64_t ldc,
-                        IntGemmScratch* scratch, bool pooled, GemmSplit split,
-                        int split_ways) {
-  check_int_extents(trans_b, m, n, k, alpha);
-  std::vector<std::int16_t>& packed =
-      (scratch != nullptr ? *scratch : local_int_scratch()).packed_a;
-  const auto size = static_cast<std::size_t>(gemm_s8u8_packed_a_size(m, k));
-  if (packed.size() < size) packed.resize(size);
-  gemm_s8u8_pack_a(m, k, a, lda, packed.data());
-  gemm_s8u8_packed(IntKernel::kS8U8, m, n, k, alpha, packed.data(),
-                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, ldc,
-                   pooled, split, split_ways);
-}
-
-}  // namespace
-
-void gemm_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-               std::int32_t alpha, const std::int8_t* a, std::int64_t lda,
-               const std::uint8_t* b, std::int64_t ldb, bool accumulate,
-               std::int32_t* c, std::int64_t ldc, IntGemmScratch* scratch) {
-  gemm_s8u8_unpacked(trans_b, m, n, k, alpha, a, lda, b, ldb, accumulate, c,
-                     ldc, scratch, /*pooled=*/false, GemmSplit::kAuto, 0);
-}
-
-void gemm_s8u8_parallel(Trans trans_b, std::int64_t m, std::int64_t n,
-                        std::int64_t k, std::int32_t alpha,
-                        const std::int8_t* a, std::int64_t lda,
-                        const std::uint8_t* b, std::int64_t ldb,
-                        bool accumulate, std::int32_t* c, std::int64_t ldc,
-                        IntGemmScratch* scratch, GemmSplit split,
-                        int split_ways) {
-  gemm_s8u8_unpacked(trans_b, m, n, k, alpha, a, lda, b, ldb, accumulate, c,
-                     ldc, scratch, /*pooled=*/true, split, split_ways);
 }
 
 std::int64_t gemm_s8u8_packed_a_size(std::int64_t m, std::int64_t k) {

@@ -4,8 +4,18 @@
 //
 // Row-major storage with explicit leading dimensions (BLAS-style). Three
 // transpose combinations are implemented — NN, NT and TN — which cover every
-// use in the library (forward, input-gradient and weight-gradient of both
-// Linear and im2col convolution).
+// use in the library (forward, input-gradient and weight-gradient of Linear
+// and Conv2d).
+//
+// op(B) comes from one of two sources (GemmB): a dense matrix, or the
+// im2col matrices of a batch of padded samples that are never materialized
+// — the packer reads each micro-panel straight from the samples through a
+// ConvPackPlan (tensor/im2col.h), the implicit GEMM of Chetlur et al.,
+// "cuDNN: Efficient Primitives for Deep Learning" (arXiv:1410.0759). With
+// a ColumnFold on A's depth or on C's columns the batch folds into one GEMM
+// dimension: Conv2d runs its forward as one GEMM with n = batch x positions
+// and its dW as one GEMM with depth = batch x positions. `gemm`,
+// `gemm_parallel` and `gemm_ex` all run the same blocked driver.
 //
 // Blocking scheme (GotoBLAS/BLIS-style, single precision):
 //
@@ -38,7 +48,8 @@
 //
 // `gemm` is strictly serial so it can run inside batch-parallel loops;
 // `gemm_parallel` fans out across the global thread pool and is used at top
-// level (Linear layers, benchmark kernels).
+// level (Linear layers, benchmark kernels); `gemm_ex` takes every operand
+// form and either mode (Conv2d).
 #pragma once
 
 #include <cstdint>
@@ -123,6 +134,69 @@ void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
                    GemmScratch* scratch = nullptr,
                    GemmSplit split = GemmSplit::kAuto, int split_ways = 0);
 
+struct ConvPackPlan;  // tensor/im2col.h
+
+// A batch folded into the columns of a row-major operand: column x of the
+// logical matrix is column x % cols of block x / cols, the blocks `stride`
+// floats apart (rows stay `ld` apart inside every block). An NCHW tensor
+// (B, R, P) seen as one R x (B*P) matrix is {P, R*P} with ld = P.
+// cols == 0: no fold, column x at offset x.
+struct ColumnFold {
+  std::int64_t cols = 0;
+  std::int64_t stride = 0;
+};
+
+// op(A): dense; `fold` (Trans::no only) folds its columns — the depth.
+struct GemmA {
+  const float* data = nullptr;
+  Trans trans = Trans::no;
+  std::int64_t lda = 0;
+  ColumnFold fold;
+};
+
+// op(B): a dense matrix (trans, ldb), or the im2col matrices of consecutive
+// padded samples (plan.padded_size() floats each, padded with 0.0f by
+// pad_sample) read through `plan`: side by side, k() x (samples * n()), for
+// Trans::no; stacked, (samples * n()) x k(), for Trans::yes.
+struct GemmB {
+  const float* data = nullptr;
+  Trans trans = Trans::no;
+  std::int64_t ldb = 0;
+  const ConvPackPlan* plan = nullptr;
+
+  static GemmB dense(Trans trans, const float* b, std::int64_t ldb) {
+    return GemmB{b, trans, ldb, nullptr};
+  }
+  static GemmB conv(const ConvPackPlan& plan, const float* padded,
+                    Trans trans = Trans::no) {
+    return GemmB{padded, trans, 0, &plan};
+  }
+};
+
+// C: dense, `fold` folds its columns.
+struct GemmC {
+  float* data = nullptr;
+  std::int64_t ldc = 0;
+  ColumnFold fold;
+};
+
+// C = alpha * op(A) * op(B) + beta * C over any operand form. `pooled`
+// fans out as gemm_parallel does (only when the shape is worth it and the
+// caller is not inside a parallel region); otherwise the call is serial.
+void gemm_ex(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+             const GemmA& a, const GemmB& b, float beta, const GemmC& c,
+             GemmScratch* scratch, bool pooled,
+             GemmSplit split = GemmSplit::kAuto, int split_ways = 0);
+
+// The B micro-panel the float driver hands its micro-kernel for a (k x n)
+// op(B): depth rows pc..pc+kc (kc <= kGemmKC) of columns j0..j0+kGemmNR
+// (j0 a multiple of kGemmNR), kc * kGemmNR floats with columns past n
+// zero. Exposed so the implicit-GEMM packer can be checked byte for byte
+// against im2col + the dense packer.
+void gemm_pack_b_panel(const GemmB& b, std::int64_t k, std::int64_t n,
+                       std::int64_t pc, std::int64_t j0, std::int64_t kc,
+                       float* dst);
+
 // ------------------------------------------------- integer (serving) GEMM --
 //
 //   C(m, n) int32  =  alpha * A(m, k) int8  *  op(B)(k, n) uint8   [+ C]
@@ -150,29 +224,8 @@ void gemm_parallel(Trans trans_a, Trans trans_b, std::int64_t m,
 // B comes from one of two sources (IntGemmB): a dense (k x n) matrix op(B),
 // or a convolution's im2col matrix that is never materialized — the packer
 // reads each micro-panel straight from one (padded) input sample through a
-// ConvPackPlan (tensor/im2col.h), the implicit GEMM of Chetlur et al.,
-// "cuDNN: Efficient Primitives for Deep Learning" (arXiv:1410.0759).
-
-// Scratch of the un-prepacked entry points: A panels packed per call (null
-// scratch = the calling thread's grow-once thread-local instance).
-struct IntGemmScratch {
-  std::vector<std::int16_t> packed_a;  // widened int8 micro-panels
-};
-
-void gemm_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-               std::int32_t alpha, const std::int8_t* a, std::int64_t lda,
-               const std::uint8_t* b, std::int64_t ldb, bool accumulate,
-               std::int32_t* c, std::int64_t ldc,
-               IntGemmScratch* scratch = nullptr);
-
-void gemm_s8u8_parallel(Trans trans_b, std::int64_t m, std::int64_t n,
-                        std::int64_t k, std::int32_t alpha,
-                        const std::int8_t* a, std::int64_t lda,
-                        const std::uint8_t* b, std::int64_t ldb,
-                        bool accumulate, std::int32_t* c, std::int64_t ldc,
-                        IntGemmScratch* scratch = nullptr,
-                        GemmSplit split = GemmSplit::kAuto,
-                        int split_ways = 0);
+// ConvPackPlan, as the float GemmB::conv does. A is always prepacked
+// (gemm_s8u8_pack_a and the low-bit/nibble packers below).
 
 // Weight matrices are static at serving time: pack A into the kernel's
 // micro-panel layout ONCE (all KC-depth blocks, MR-tall panels) and reuse it
@@ -300,8 +353,6 @@ void gemm_s8u8_nibble_prepacked_parallel(Trans trans_b, std::int64_t m,
 // come from gemm_s8u8_pack_a (int16), kLowBit/kLowBitWide from
 // gemm_s8u8_lowbit_pack_a (int8), kNibble from gemm_s8u8_nibble_pack_a.
 enum class IntKernel { kS8U8, kLowBit, kLowBitWide, kNibble };
-
-struct ConvPackPlan;  // tensor/im2col.h
 
 // The B operand: a dense matrix op(B) = b (trans, ldb), or the im2col
 // matrix of `sample` (padded as `plan` requires, see ConvPackPlan) read

@@ -109,7 +109,7 @@ ConvPackPlan make_conv_pack_plan(const ConvGeometry& geom) {
   CSQ_CHECK(plan.padded_h < kMaxBytes && plan.padded_w < kMaxBytes &&
             plan.padded_h * plan.padded_w < kMaxBytes &&
             geom.channels < kMaxBytes &&
-            plan.padded_bytes() < kMaxBytes && geom.stride < kMaxBytes)
+            plan.padded_size() < kMaxBytes && geom.stride < kMaxBytes)
       << "conv pack plan: padded sample " << geom.channels << "x"
       << plan.padded_h << "x" << plan.padded_w
       << " exceeds int32 offsets";
@@ -125,25 +125,39 @@ ConvPackPlan make_conv_pack_plan(const ConvGeometry& geom) {
   return plan;
 }
 
-void pad_sample_u8(const ConvPackPlan& plan, const std::uint8_t* image,
-                   std::uint8_t* padded, std::uint8_t pad_code) {
+namespace {
+
+template <typename T>
+void pad_sample_as(const ConvPackPlan& plan, const T* image, T* padded,
+                   T pad_value) {
   const ConvGeometry& geom = plan.geom;
   const std::int64_t pad = geom.pad;
-  const std::int64_t row_bytes = plan.padded_w;
+  const std::int64_t row = plan.padded_w;
   for (std::int64_t c = 0; c < geom.channels; ++c) {
-    std::uint8_t* dst = padded + c * plan.padded_h * row_bytes;
-    std::fill(dst, dst + pad * row_bytes, pad_code);
-    dst += pad * row_bytes;
-    const std::uint8_t* src = image + c * geom.height * geom.width;
+    T* dst = padded + c * plan.padded_h * row;
+    std::fill(dst, dst + pad * row, pad_value);
+    dst += pad * row;
+    const T* src = image + c * geom.height * geom.width;
     for (std::int64_t y = 0; y < geom.height; ++y) {
-      std::fill(dst, dst + pad, pad_code);
+      std::fill(dst, dst + pad, pad_value);
       std::memcpy(dst + pad, src + y * geom.width,
-                  static_cast<std::size_t>(geom.width));
-      std::fill(dst + pad + geom.width, dst + row_bytes, pad_code);
-      dst += row_bytes;
+                  static_cast<std::size_t>(geom.width) * sizeof(T));
+      std::fill(dst + pad + geom.width, dst + row, pad_value);
+      dst += row;
     }
-    std::fill(dst, dst + pad * row_bytes, pad_code);
+    std::fill(dst, dst + pad * row, pad_value);
   }
+}
+
+}  // namespace
+
+void pad_sample_u8(const ConvPackPlan& plan, const std::uint8_t* image,
+                   std::uint8_t* padded, std::uint8_t pad_code) {
+  pad_sample_as(plan, image, padded, pad_code);
+}
+
+void pad_sample(const ConvPackPlan& plan, const float* image, float* padded) {
+  pad_sample_as(plan, image, padded, 0.0f);
 }
 
 void col2im(const ConvGeometry& geom, const float* col, float* image) {
@@ -162,6 +176,20 @@ void col2im(const ConvGeometry& geom, const float* col, float* image) {
           if (iy < 0 || iy >= geom.height) continue;
           float* dst_row = channel + iy * geom.width;
           const float* src = col_row + oy * out_w;
+          if (geom.stride == 1) {
+            // Unit stride: ix = ox + kj - pad, so the in-bounds outputs are
+            // one segment [begin, end) — clamped as in im2col_u8 — added
+            // with no per-element bounds test (same adds, same order).
+            const std::int64_t ix0 = kj - geom.pad;
+            const std::int64_t begin =
+                std::clamp<std::int64_t>(-ix0, 0, out_w);
+            const std::int64_t end =
+                std::clamp<std::int64_t>(geom.width - ix0, begin, out_w);
+            for (std::int64_t ox = begin; ox < end; ++ox) {
+              dst_row[ox + ix0] += src[ox];
+            }
+            continue;
+          }
           for (std::int64_t ox = 0; ox < out_w; ++ox) {
             const std::int64_t ix = ox * geom.stride - geom.pad + kj;
             if (ix >= 0 && ix < geom.width) dst_row[ix] += src[ox];

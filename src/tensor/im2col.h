@@ -7,9 +7,10 @@
 // weight (OC, C, kh, kw) becomes one GEMM: out = W_mat(OC, C*kh*kw) * col.
 // col2im is the adjoint scatter-add used by the input-gradient pass.
 //
-// The integer runtime never materializes col: ConvPackPlan is its index map,
-// which the int8 GEMM packs B micro-panels through (implicit GEMM).
-// im2col_u8 stays as the reference those panels are tested against.
+// Neither the integer runtime nor the float Conv2d materializes col:
+// ConvPackPlan is its index map, which the int8 and float GEMMs pack B
+// micro-panels through (implicit GEMM). im2col / im2col_u8 stay as the
+// references those panels are tested against.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,12 @@ struct ConvGeometry {
 
   // Validates that the geometry yields a positive output grid.
   void validate() const;
+
+  bool operator==(const ConvGeometry& o) const {
+    return channels == o.channels && height == o.height && width == o.width &&
+           kernel_h == o.kernel_h && kernel_w == o.kernel_w &&
+           stride == o.stride && pad == o.pad;
+  }
 };
 
 // image: C*H*W floats; col: col_rows()*col_cols() floats (fully overwritten).
@@ -53,17 +60,20 @@ void im2col(const ConvGeometry& geom, const float* image, float* col);
 void im2col_u8(const ConvGeometry& geom, const std::uint8_t* image,
                std::uint8_t* col, std::uint8_t pad_code);
 
-// Implicit im2col for the integer GEMM. The sample is stored padded once —
-// C x padded_h x padded_w bytes, border set to the edge's pad code
-// (pad_sample_u8) — so every tap of every output position is in bounds and
+// Implicit im2col for the int8 and float GEMMs. The sample is stored padded
+// once — C x padded_h x padded_w elements, border set to the pad value
+// (pad_sample_u8 / pad_sample) — so every tap of every output position is
+// in bounds and
 //   col[k, j] = padded[tap[k] + lane(j)]
 //   tap[k]    = (c * padded_h + ki) * padded_w + kj,  k = (c*kh + ki)*kw + kj
 //   lane(j)   = (oy * padded_w + ox) * stride,         j = oy*out_w + ox
-// The GEMM packs each kGemmNR-column micro-panel straight from the padded
-// sample: it builds the panel's lane table once, then reads each depth row
-// with one 8-byte load where the lanes are consecutive bytes and a per-lane
-// gather otherwise. With pad == 0 the padded sample IS the edge sample (no
-// copy needed).
+// Offsets count elements, so one plan serves uint8 and float samples; a
+// batch of padded samples stored back to back (padded_size() apart) is the
+// float GEMM's operand (GemmB::conv). The GEMMs pack each kGemmNR-column
+// micro-panel straight from the padded sample: they build the panel's lane
+// table once, then read each depth row with one wide load where the lanes
+// are consecutive and a per-lane gather otherwise. With pad == 0 the padded
+// sample IS the sample (no copy needed).
 struct ConvPackPlan {
   ConvGeometry geom;
   std::int64_t padded_h = 0;
@@ -73,7 +83,8 @@ struct ConvPackPlan {
   std::int64_t k() const { return geom.col_rows(); }
   std::int64_t n() const { return geom.col_cols(); }
   bool needs_padding() const { return geom.pad > 0; }
-  std::int64_t padded_bytes() const {
+  // Elements of one padded sample.
+  std::int64_t padded_size() const {
     return geom.channels * padded_h * padded_w;
   }
   // Offset of output position j from a tap's base.
@@ -87,9 +98,12 @@ struct ConvPackPlan {
 // Throws check_error unless the padded sample fits int32 offsets.
 ConvPackPlan make_conv_pack_plan(const ConvGeometry& geom);
 
-// Writes the padded copy of one C*H*W sample (plan.padded_bytes() bytes).
+// Writes the padded copy of one C*H*W sample (plan.padded_size()
+// elements): pad_sample_u8 fills the border with the edge's pad code,
+// pad_sample with 0.0f.
 void pad_sample_u8(const ConvPackPlan& plan, const std::uint8_t* image,
                    std::uint8_t* padded, std::uint8_t pad_code);
+void pad_sample(const ConvPackPlan& plan, const float* image, float* padded);
 
 // Adjoint: accumulates col back into image. `image` must be zeroed by the
 // caller when a fresh gradient is wanted.

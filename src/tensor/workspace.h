@@ -1,10 +1,12 @@
 // Workspace — a per-layer scratch arena for the training/eval hot path.
 //
 // Conv2d and Linear own one Workspace each and draw every recurring buffer
-// from it: the cached im2col matrix, per-thread grad_col scratch, the
-// dLoss/dWeight staging tensor, and the packed-panel storage the blocked
-// GEMM uses (one scratch per pool slot for GEMMs inside parallel regions). All slots have grow-once semantics — a buffer expands to the
-// largest extent ever requested and is then recycled verbatim — so a
+// from it: Conv2d's padded input batch (the implicit-GEMM B operand, kept
+// for backward), per-thread grad_col scratch, the dLoss/dWeight staging
+// tensor, and the packed-panel storage the blocked GEMM uses (one scratch
+// for the layer's top-level GEMMs, one per pool slot for GEMMs inside
+// parallel regions). All slots have grow-once semantics — a buffer expands
+// to the largest extent ever requested and is then recycled verbatim — so a
 // steady-state forward+backward step performs ZERO heap allocations. The
 // growth_count() counter makes that property testable: the allocation
 // regression tests assert it stays flat across steps.

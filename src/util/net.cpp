@@ -39,7 +39,9 @@ bool read_full(int fd, void* buffer, std::size_t size) {
 bool write_full(int fd, const void* buffer, std::size_t size) {
   const char* src = static_cast<const char*>(buffer);
   while (size > 0) {
-    const ssize_t put = ::write(fd, src, size);
+    // send(MSG_NOSIGNAL), not write: a peer that already hung up must cost
+    // an EPIPE on this connection, not a SIGPIPE that ends the process.
+    const ssize_t put = ::send(fd, src, size, MSG_NOSIGNAL);
     if (put > 0) {
       src += put;
       size -= static_cast<std::size_t>(put);

@@ -48,8 +48,9 @@ class UniqueFd {
 // EOF or error — the caller treats both as a dead peer.
 bool read_full(int fd, void* buffer, std::size_t size);
 
-// Writes exactly `size` bytes (looping over short writes, EINTR, and —
-// for non-blocking sockets — EAGAIN via poll). False on error.
+// Writes exactly `size` bytes to a socket (looping over short writes,
+// EINTR, and — for non-blocking sockets — EAGAIN via poll). False on error,
+// including a peer that hung up (EPIPE; no SIGPIPE is raised).
 bool write_full(int fd, const void* buffer, std::size_t size);
 
 // Binds a loopback (127.0.0.1) TCP listener on `port` (0 = kernel-assigned

@@ -101,6 +101,21 @@ void reference_s8u8(Trans trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
+// The un-prepacked s8u8 GEMM these tests drive: A packed per call with
+// gemm_s8u8_pack_a (lda = k), then the kernel-keyed entry (ldc = n).
+void packed_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+                 std::int32_t alpha, const std::int8_t* a,
+                 const std::uint8_t* b, std::int64_t ldb, bool accumulate,
+                 std::int32_t* c, bool pooled,
+                 GemmSplit split = GemmSplit::kAuto, int split_ways = 0) {
+  std::vector<std::int16_t> panels(
+      static_cast<std::size_t>(gemm_s8u8_packed_a_size(m, k)));
+  gemm_s8u8_pack_a(m, k, a, k, panels.data());
+  gemm_s8u8_packed(IntKernel::kS8U8, m, n, k, alpha, panels.data(),
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, n, pooled,
+                   split, split_ways);
+}
+
 TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
   Rng rng(901);
   const std::int64_t extents[] = {1, 3, 17, 64, 129};
@@ -127,8 +142,8 @@ TEST(Int8Gemm, MatchesExactReferenceAcrossShapesAndModes) {
               }
               reference_s8u8(trans_b, m, n, k, alpha, a.data(), b.data(),
                              ldb, accumulate, expected);
-              gemm_s8u8(trans_b, m, n, k, alpha, a.data(), k, b.data(), ldb,
-                        accumulate, actual.data(), n);
+              packed_s8u8(trans_b, m, n, k, alpha, a.data(), b.data(), ldb,
+                          accumulate, actual.data(), /*pooled=*/false);
               ASSERT_EQ(expected, actual)
                   << "m=" << m << " n=" << n << " k=" << k
                   << " trans_b=" << (trans_b == Trans::yes) << " alpha="
@@ -148,10 +163,10 @@ TEST(Int8Gemm, PooledIsBitIdenticalToSerial) {
   const auto b = random_u8(k * n, rng);
   std::vector<std::int32_t> serial(static_cast<std::size_t>(m * n));
   std::vector<std::int32_t> pooled(static_cast<std::size_t>(m * n));
-  gemm_s8u8(Trans::no, m, n, k, 1, a.data(), k, b.data(), n,
-            /*accumulate=*/false, serial.data(), n);
-  gemm_s8u8_parallel(Trans::no, m, n, k, 1, a.data(), k, b.data(), n,
-                     /*accumulate=*/false, pooled.data(), n);
+  packed_s8u8(Trans::no, m, n, k, 1, a.data(), b.data(), n,
+              /*accumulate=*/false, serial.data(), /*pooled=*/false);
+  packed_s8u8(Trans::no, m, n, k, 1, a.data(), b.data(), n,
+              /*accumulate=*/false, pooled.data(), /*pooled=*/true);
   EXPECT_EQ(serial, pooled);
 }
 
@@ -1126,11 +1141,11 @@ TEST(PackedWeightsFuzz, RejectsReductionDepthsBeyondInt32Headroom) {
       runtime::PackedIntWeights(make_codes(values, 1.0f, 8), 1, 32768),
       check_error);
 
-  std::vector<std::int8_t> a(1, 1);
-  std::vector<std::uint8_t> b(1, 1);
+  std::vector<std::int8_t> a(32768, 1);
+  std::vector<std::uint8_t> b(32768, 1);
   std::int32_t c = 0;
-  EXPECT_THROW(gemm_s8u8(Trans::no, 1, 1, 32768, 1, a.data(), 32768,
-                         b.data(), 1, /*accumulate=*/false, &c, 1),
+  EXPECT_THROW(packed_s8u8(Trans::no, 1, 1, 32768, 1, a.data(), b.data(), 1,
+                           /*accumulate=*/false, &c, /*pooled=*/false),
                check_error);
 
   // The boundary itself is legal.

@@ -6,6 +6,11 @@
 //    malformed/oversized/bad-deadline frames, pipelined frames clear of
 //    the delayed-ACK stall, listener-first graceful drain, and the
 //    transport.{accept,read,write} failpoints;
+//  * TransportFuzz.* — truncation, bit-flip and length-field sweeps of a
+//    recorded request frame against a live transport: every case gets
+//    kBadRequest (or, where the mutation leaves a well-formed request, its
+//    ordinary answer) or drops only its own connection, while a clean
+//    client alongside keeps getting bit-identical replies;
 //  * ReplicaScaling.* — BatchingServer::set_replicas: runtime scale-up
 //    (bootstrapped from the restore template, bit-identical results) and
 //    cooperative scale-down with no dropped requests;
@@ -14,10 +19,13 @@
 //  * MmapArtifact.* — load_graph_mmap: borrowed weight pages, forwards
 //    bit-identical to load_graph, replicas sharing one mapping, save_graph
 //    rejecting borrowed programs, and pre-v5 artifacts rejected cleanly.
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -442,6 +450,284 @@ TEST(Transport, PipelinedFramesBeatTheDelayedAckFloor) {
       << "a pipelined pair took the delayed-ACK path: pair p50 "
       << median(pair_ms) << " ms, single round trip p50 "
       << median(single_ms) << " ms";
+
+  transport.stop();
+  server.stop();
+}
+
+// ------------------------------------------------------- wire-frame fuzz --
+
+// The bytes a real TransportClient puts on the wire for one request,
+// captured by a loopback listener that hangs up instead of answering.
+std::vector<std::uint8_t> record_request_frame(const std::string& model_id,
+                                               const std::vector<float>& sample,
+                                               std::int64_t deadline_us) {
+  std::uint16_t port = 0;
+  net::UniqueFd listener = net::listen_loopback(0, 1, &port);
+  std::vector<std::uint8_t> frame;
+  std::thread recorder([&] {
+    net::UniqueFd conn(::accept(listener.get(), nullptr, nullptr));
+    std::uint32_t body_len = 0;
+    if (!conn.valid() ||
+        !net::read_full(conn.get(), &body_len, sizeof(body_len))) {
+      return;
+    }
+    frame.resize(sizeof(body_len) + body_len);
+    std::memcpy(frame.data(), &body_len, sizeof(body_len));
+    if (!net::read_full(conn.get(), frame.data() + sizeof(body_len),
+                        body_len)) {
+      frame.clear();
+    }
+  });
+  serve::TransportClient client(port);
+  std::vector<float> logits;
+  EXPECT_EQ(client.infer(model_id, sample.data(), sample.size(), logits,
+                         deadline_us),
+            serve::WireStatus::kTransportError);
+  recorder.join();
+  return frame;
+}
+
+// What one hostile connection saw: the status of every response frame the
+// server wrote, and whether the server then dropped the connection (EOF or
+// reset) — as opposed to hanging past the receive timeout or writing a
+// malformed response.
+struct FuzzOutcome {
+  std::vector<serve::WireStatus> statuses;
+  bool dropped = false;
+  bool well_formed = true;
+};
+
+// Sends `bytes` on a fresh connection, half-closes it (the server reads
+// EOF after the last byte) and collects responses until the server drops
+// the connection. `logit_count` is what a kOk response must carry.
+FuzzOutcome send_hostile(std::uint16_t port,
+                         const std::vector<std::uint8_t>& bytes,
+                         std::uint32_t logit_count) {
+  FuzzOutcome out;
+  net::UniqueFd fd = net::connect_loopback(port);
+  if (!fd.valid()) {
+    out.well_formed = false;
+    return out;
+  }
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // MSG_NOSIGNAL: a server that already dropped us must not SIGPIPE the
+  // test; what it sent before the drop is still read below.
+  for (std::size_t sent = 0; sent < bytes.size();) {
+    const ssize_t put = ::send(fd.get(), bytes.data() + sent,
+                               bytes.size() - sent, MSG_NOSIGNAL);
+    if (put <= 0) break;
+    sent += static_cast<std::size_t>(put);
+  }
+  ::shutdown(fd.get(), SHUT_WR);
+  const auto recv_all = [&](void* dst, std::size_t size) -> ssize_t {
+    return ::recv(fd.get(), dst, size, MSG_WAITALL);
+  };
+  while (true) {
+    std::uint32_t body_len = 0;
+    const ssize_t got = recv_all(&body_len, sizeof(body_len));
+    if (got == 0 || (got < 0 && errno == ECONNRESET)) {
+      out.dropped = true;
+      return out;
+    }
+    if (got != static_cast<ssize_t>(sizeof(body_len)) || body_len < 5 ||
+        body_len > 5 + 4 * logit_count) {
+      out.well_formed = false;  // timeout, short header or bad length
+      return out;
+    }
+    std::vector<std::uint8_t> body(body_len);
+    if (recv_all(body.data(), body.size()) != static_cast<ssize_t>(body_len)) {
+      out.well_formed = false;
+      return out;
+    }
+    const auto status = static_cast<serve::WireStatus>(body[0]);
+    std::uint32_t count = 0;
+    std::memcpy(&count, body.data() + 1, sizeof(count));
+    const std::uint32_t want = status == serve::WireStatus::kOk ? logit_count
+                                                                : 0;
+    if (count != want || body_len != 5 + 4 * count) out.well_formed = false;
+    out.statuses.push_back(status);
+  }
+}
+
+template <typename T>
+void put_field(std::vector<std::uint8_t>& frame, std::size_t offset,
+               T value) {
+  std::memcpy(frame.data() + offset, &value, sizeof(value));
+}
+
+TEST(TransportFuzz, HostileFramesDropOnlyTheirConnection) {
+  runtime::CompiledGraph graph = make_calibrated_graph();
+  Rng rng(9300);
+  Tensor samples = random_tensor({4, kChannels, kSide, kSide}, rng);
+  const std::vector<Tensor> expected = single_sample_oracle(graph, samples);
+  const auto logit_count = static_cast<std::uint32_t>(expected[0].numel());
+
+  serve::BatchingServer server;
+  std::vector<runtime::CompiledGraph> replicas;
+  replicas.push_back(runtime::replicate(graph));
+  server.add_model("m", std::move(replicas));
+  server.start();
+  serve::ServeTransport transport(server);
+  transport.start();
+
+  // The seed: one recorded request. Layout (transport.h): u32 body_len |
+  // u16 id_len | id | i64 deadline_us | u32 sample_count | f32 samples.
+  const std::vector<float> sample(samples.data(),
+                                  samples.data() + kSampleNumel);
+  const std::vector<std::uint8_t> frame =
+      record_request_frame("m", sample, /*deadline_us=*/-1);
+  const std::size_t id_len_at = 4, id_at = 6, deadline_at = 7, count_at = 15,
+                    samples_at = 19;
+  ASSERT_EQ(frame.size(), samples_at + 4 * kSampleNumel);
+  {
+    const FuzzOutcome clean = send_hostile(transport.port(), frame,
+                                           logit_count);
+    ASSERT_TRUE(clean.dropped && clean.well_formed);
+    ASSERT_EQ(clean.statuses,
+              std::vector<serve::WireStatus>{serve::WireStatus::kOk});
+  }
+
+  // A clean client alongside the fuzz: every reply bit-identical.
+  std::atomic<bool> fuzzing{true};
+  std::atomic<int> clean_ok{0}, clean_failures{0};
+  std::thread clean_client([&] {
+    serve::TransportClient client(transport.port());
+    std::vector<float> logits;
+    for (int round = 0; fuzzing.load() || round < 4; ++round) {
+      const int s = round % 4;
+      const Tensor& want = expected[static_cast<std::size_t>(s)];
+      if (client.infer("m", samples.data() + s * kSampleNumel,
+                       static_cast<std::size_t>(kSampleNumel),
+                       logits) != serve::WireStatus::kOk ||
+          std::memcmp(logits.data(), want.data(),
+                      sizeof(float) * logits.size()) != 0) {
+        ++clean_failures;
+        return;
+      }
+      ++clean_ok;
+    }
+  });
+
+  using Statuses = std::vector<serve::WireStatus>;
+  const Statuses none;
+  const Statuses bad{serve::WireStatus::kBadRequest};
+  const Statuses ok{serve::WireStatus::kOk};
+  int cases = 0;
+  const auto expect_case = [&](const std::vector<std::uint8_t>& bytes,
+                               const Statuses* exactly, const char* what,
+                               std::size_t at) {
+    const FuzzOutcome out = send_hostile(transport.port(), bytes, logit_count);
+    ++cases;
+    EXPECT_TRUE(out.dropped) << what << " at " << at << ": connection hung";
+    EXPECT_TRUE(out.well_formed) << what << " at " << at;
+    if (exactly != nullptr) {
+      EXPECT_EQ(out.statuses, *exactly) << what << " at " << at;
+    } else {
+      for (const serve::WireStatus status : out.statuses) {
+        EXPECT_EQ(status, serve::WireStatus::kBadRequest)
+            << what << " at " << at;
+      }
+    }
+  };
+  // Offsets swept: every header byte, then a stride through the samples.
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 0; at < samples_at; ++at) offsets.push_back(at);
+  for (std::size_t at = samples_at; at < frame.size(); at += 29) {
+    offsets.push_back(at);
+  }
+
+  // 1. Truncation: the declared length promises more than ever arrives, so
+  //    the frame never completes — no answer, the connection is dropped.
+  for (const std::size_t at : offsets) {
+    expect_case(std::vector<std::uint8_t>(frame.begin(), frame.begin() + at),
+                &none, "truncated", at);
+  }
+
+  // 2. Truncation with the length patched to match: a complete frame whose
+  //    body is short is kBadRequest, and the frame boundary survives — the
+  //    intact request queued behind it on the same connection is answered.
+  for (const std::size_t at : offsets) {
+    if (at < 4) continue;
+    std::vector<std::uint8_t> bytes(frame.begin(), frame.begin() + at);
+    put_field(bytes, 0, static_cast<std::uint32_t>(at - 4));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    const Statuses bad_then_ok{serve::WireStatus::kBadRequest,
+                               serve::WireStatus::kOk};
+    expect_case(bytes, &bad_then_ok, "short body", at);
+  }
+
+  // 3. Bit flips. Header fields are structure: a flip in the length may
+  //    leave trailing garbage that is parsed as further frames, so only
+  //    kBadRequest answers (or none) are allowed there; a flipped id, id
+  //    length or sample count is exactly one kBadRequest. A flipped
+  //    deadline is kBadRequest (< -1) except the sign bit, which makes it
+  //    the largest valid deadline; a flipped sample is a valid request.
+  for (const std::size_t at : offsets) {
+    for (int bit = 0; bit < 8; ++bit) {
+      if (at >= samples_at && bit != (static_cast<int>(at) % 8)) continue;
+      std::vector<std::uint8_t> bytes = frame;
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      const std::size_t flat = at * 8 + static_cast<std::size_t>(bit);
+      if (at < id_len_at) {
+        expect_case(bytes, nullptr, "length bit flip", flat);
+      } else if (at < samples_at && (at < deadline_at || at >= count_at)) {
+        expect_case(bytes, &bad, "header bit flip", flat);
+      } else if (at < count_at) {
+        const bool sign = at == count_at - 1 && bit == 7;
+        expect_case(bytes, sign ? &ok : &bad, "deadline bit flip", flat);
+      } else {
+        expect_case(bytes, &ok, "sample bit flip", flat);
+      }
+    }
+  }
+
+  // 4. Length-field sweeps with the original body behind them.
+  const auto body_len = static_cast<std::uint32_t>(frame.size() - 4);
+  for (const std::uint32_t len :
+       {0u, 1u, 2u, 14u, 15u, body_len - 1, body_len + 1, 1u << 20,
+        (1u << 20) + 1, 0x7fffffffu, 0xffffffffu}) {
+    std::vector<std::uint8_t> bytes = frame;
+    put_field(bytes, 0, len);
+    expect_case(bytes, nullptr, "body_len", len);
+  }
+  for (const std::uint16_t len : {0, 2, 256, 257, 0xffff}) {
+    std::vector<std::uint8_t> bytes = frame;
+    put_field(bytes, id_len_at, static_cast<std::uint16_t>(len));
+    expect_case(bytes, &bad, "id_len", len);
+  }
+  const auto count = static_cast<std::uint32_t>(kSampleNumel);
+  for (const std::uint32_t n :
+       {0u, count - 1, count + 1, 0x40000000u, 0xffffffffu}) {
+    std::vector<std::uint8_t> bytes = frame;
+    put_field(bytes, count_at, n);
+    expect_case(bytes, &bad, "sample_count", n);
+  }
+
+  // 5. Clients that hang up before their answers are written: the second
+  //    of two pipelined answers goes to a peer that already reset.
+  std::vector<std::uint8_t> pair = frame;
+  pair.insert(pair.end(), frame.begin(), frame.end());
+  for (int i = 0; i < 8; ++i) {
+    net::UniqueFd fd = net::connect_loopback(transport.port());
+    ASSERT_TRUE(fd.valid());
+    ASSERT_TRUE(net::write_full(fd.get(), pair.data(), pair.size()));
+  }
+
+  fuzzing = false;
+  clean_client.join();
+  EXPECT_EQ(clean_failures.load(), 0);
+  EXPECT_GE(clean_ok.load(), 4);
+  EXPECT_GT(cases, 300);
+
+  // The transport as a whole is still healthy.
+  serve::TransportClient after(transport.port());
+  std::vector<float> logits;
+  EXPECT_EQ(after.infer("m", sample.data(), sample.size(), logits),
+            serve::WireStatus::kOk);
+  EXPECT_GT(transport.stats().bad_requests, 100u);
 
   transport.stop();
   server.stop();

@@ -193,6 +193,21 @@ struct IntCase {
 const IntCase kIntCases[] = {{1, 512, 300}, {2, 1000, 300}, {8, 1000, 300},
                              {80, 1000, 256}};
 
+// The un-prepacked s8u8 GEMM these tests drive: A packed per call with
+// gemm_s8u8_pack_a (lda = k), then the kernel-keyed entry (ldc = n).
+void packed_s8u8(Trans trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+                 std::int32_t alpha, const std::int8_t* a,
+                 const std::uint8_t* b, std::int64_t ldb, bool accumulate,
+                 std::int32_t* c, bool pooled,
+                 GemmSplit split = GemmSplit::kAuto, int split_ways = 0) {
+  std::vector<std::int16_t> panels(
+      static_cast<std::size_t>(gemm_s8u8_packed_a_size(m, k)));
+  gemm_s8u8_pack_a(m, k, a, k, panels.data());
+  gemm_s8u8_packed(IntKernel::kS8U8, m, n, k, alpha, panels.data(),
+                   IntGemmB::dense(trans_b, b, ldb), accumulate, c, n, pooled,
+                   split, split_ways);
+}
+
 TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
   Rng rng(9100);
   for (const IntCase& tc : kIntCases) {
@@ -205,15 +220,14 @@ TEST(WideGemm, S8U8ColumnAndGridSplitsMatchReference) {
       reference_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), b.data(), ldb,
                      false, expected);
       std::vector<std::int32_t> serial(expected.size(), -1);
-      gemm_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), tc.k, b.data(), ldb,
-                false, serial.data(), tc.n);
+      packed_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), b.data(), ldb,
+                  false, serial.data(), /*pooled=*/false);
       ASSERT_EQ(serial, expected);
       for (const GemmSplit split : kForcedSplits) {
         for (const int ways : kWays) {
           std::vector<std::int32_t> actual(expected.size(), -1);
-          gemm_s8u8_parallel(trans_b, tc.m, tc.n, tc.k, 1, a.data(), tc.k,
-                             b.data(), ldb, false, actual.data(), tc.n,
-                             /*scratch=*/nullptr, split, ways);
+          packed_s8u8(trans_b, tc.m, tc.n, tc.k, 1, a.data(), b.data(), ldb,
+                      false, actual.data(), /*pooled=*/true, split, ways);
           ASSERT_EQ(actual, expected)
               << "m=" << tc.m << " n=" << tc.n
               << " split=" << static_cast<int>(split) << " ways=" << ways;
